@@ -22,11 +22,11 @@ from .operator_core import (
     BipartiteState,
     HermitianOperator,
     SupportCutoff,
-    power_on_support,
     random_density,
 )
 from .petz_divergence import (
     DomainViolation,
+    _rho_alpha_tensor,
     partial_min_sigma,
     partial_min_tau,
 )
@@ -179,10 +179,10 @@ def restrict_initializer(
 
 
 class _AmRun:
-    """Mutable state of one run; caches the rho^alpha tensor and eigenfactors.
+    """Mutable state of one run; caches rho^alpha as two gemv matrices and the eigenfactors.
 
     States are carried as (support eigenvalues, eigenvector block) pairs so
-    each half-step costs one contraction and one small eigendecomposition; the
+    each half-step costs one gemv and one small eigendecomposition; the
     objective value comes from the closed form for the partial minimum.
     """
 
@@ -197,13 +197,10 @@ class _AmRun:
         self.cut = cut
         self.d_a = rho_ab.d_a
         self.d_b = rho_ab.d_b
-        w, v = np.linalg.eigh(rho_ab.op.entries)
-        lam_max = max(float(w[-1]), 0.0)
-        mask = w > cut.rel_tol * lam_max
-        wa = np.zeros_like(w)
-        wa[mask] = w[mask] ** alpha
-        ra = (v * wa) @ v.conj().T
-        self.r4 = np.ascontiguousarray(ra.reshape(self.d_a, self.d_b, self.d_a, self.d_b))
+        r4 = _rho_alpha_tensor(rho_ab, alpha, cut)
+        # m_a[(b, d), (c, a)] = m_b[(a, c), (d, b)] = r4[a, b, c, d], so each half-step is a gemv.
+        self.m_a = r4.transpose(1, 3, 2, 0).reshape(self.d_b**2, self.d_a**2)
+        self.m_b = r4.transpose(0, 2, 3, 1).reshape(self.d_a**2, self.d_b**2)
         self.sigma_vals, self.sigma_vecs = self._factor(sigma0.entries)
         self.tau_vals: np.ndarray | None = None
         self.tau_vecs: np.ndarray | None = None
@@ -225,7 +222,7 @@ class _AmRun:
     def a_to_b(self) -> None:
         """Update tau from sigma; refresh the objective via the closed form."""
         s = self._power(self.sigma_vals, self.sigma_vecs, 1.0 - self.alpha)
-        w_mat = np.einsum("abcd,ca->bd", self.r4, s)
+        w_mat = (self.m_a @ s.ravel()).reshape(self.d_b, self.d_b)
         vals, vecs = self._factor(w_mat)
         t = vals ** (1.0 / self.alpha)
         ssum = float(np.sum(t))
@@ -237,7 +234,7 @@ class _AmRun:
     def b_to_a(self) -> None:
         """Update sigma from tau."""
         t = self._power(self.tau_vals, self.tau_vecs, 1.0 - self.alpha)
-        w_mat = np.einsum("abcd,db->ac", self.r4, t)
+        w_mat = (self.m_b @ t.ravel()).reshape(self.d_a, self.d_a)
         vals, vecs = self._factor(w_mat)
         s = vals ** (1.0 / self.alpha)
         self.sigma_vals = s / float(np.sum(s))
@@ -254,10 +251,10 @@ class _AmRun:
         return HermitianOperator._wrap(self._power(self.tau_vals, self.tau_vecs, 1.0))
 
     def marginal_a_of_rho_alpha(self) -> np.ndarray:
-        return np.einsum("abcb->ac", self.r4)
+        return (self.m_b @ np.eye(self.d_b).ravel()).reshape(self.d_a, self.d_a)
 
     def marginal_b_of_rho_alpha(self) -> np.ndarray:
-        return np.einsum("abac->bc", self.r4)
+        return (self.m_a @ np.eye(self.d_a).ravel()).reshape(self.d_b, self.d_b)
 
 
 def _min_supported_eig(mat: np.ndarray, cut: SupportCutoff) -> float:
@@ -571,7 +568,7 @@ def projective_diameter_from_vectors(
     The compressions are operators on B; their pairwise projective distances
     lower-bound the projective diameter of the contraction map.
     """
-    r4 = power_on_support_tensor(rho_ab, alpha, cut)
+    r4 = _rho_alpha_tensor(rho_ab, alpha, cut)
     mats = []
     for v in vectors:
         v = np.asarray(v, dtype=np.complex128)
@@ -582,14 +579,6 @@ def projective_diameter_from_vectors(
         for j in range(i + 1, len(mats)):
             delta = max(delta, d_h(mats[i], mats[j], cut))
     return delta
-
-
-def power_on_support_tensor(
-    rho_ab: BipartiteState, alpha: float, cut: SupportCutoff = DEFAULT_CUT
-) -> np.ndarray:
-    """rho^alpha reshaped to (d_a, d_b, d_a, d_b)."""
-    ra = power_on_support(rho_ab.op, alpha, cut)
-    return ra.entries.reshape(rho_ab.d_a, rho_ab.d_b, rho_ab.d_a, rho_ab.d_b)
 
 
 def kappa_estimate(
@@ -608,7 +597,7 @@ def kappa_estimate(
     """
     if samples < 2:
         raise ValueError("samples must be at least 2")
-    w = np.linalg.eigvalsh(rho_ab.op.entries)
+    w = rho_ab.spectrum[0]
     if float(w[0]) <= cut.rel_tol * max(float(w[-1]), 0.0):
         raise NotStrictlyPositive("kappa estimate requires a strictly positive state")
     rng = np.random.default_rng(0) if rng is None else rng

@@ -6,7 +6,8 @@ fastest; PMFs are CSV matrices of nonnegative floats.  One JSON trace
 document is written per alpha.
 
 Exit codes: 0 when every run terminated on its certificate, 2 on validation
-or range errors, 3 when an iteration cap was hit without a certificate.
+or range errors, 3 when an iteration cap was hit without a certificate, 4 when
+a trace document could not be written.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ SUPPORT_TOL_ENV = "PRMI_SUPPORT_TOL"
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NO_CERTIFICATE = 3
+EXIT_IO = 4
 
 
 class ParseError(Exception):
@@ -297,7 +299,11 @@ def run(spec: RunSpec) -> int:
             return EXIT_INVALID
 
         out = _trace_path_for(spec.trace_path, alpha, multiple)
-        out.write_text(json.dumps(_trace_document(trace), indent=1))
+        try:
+            out.write_text(json.dumps(_trace_document(trace), indent=1))
+        except OSError as exc:
+            print(f"error: alpha={alpha:g}: cannot write trace {out}: {exc}", file=sys.stderr)
+            return EXIT_IO
         last = trace.records[-1]
         eps_str = "n/a" if last.eps_n is None else f"{last.eps_n:.3e}"
         print(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -245,13 +246,14 @@ class BipartiteState:
     def from_operator(cls, op: HermitianOperator, d_a: int, d_b: int) -> "BipartiteState":
         if d_a < 1 or d_b < 1 or op.dim != d_a * d_b:
             raise DimMismatch(f"op dim {op.dim} incompatible with {d_a}x{d_b}")
-        w = np.linalg.eigvalsh(op.entries)
+        state = cls(d_a, d_b, op)
+        w = state.spectrum[0]
         if float(w[0]) < -cls.PSD_TOL:
             raise InvalidOperator(f"state is not PSD: min eigenvalue {w[0]:.3e}")
         tr = float(np.sum(w))
         if abs(tr - 1.0) > cls.TRACE_TOL:
             raise InvalidOperator(f"state trace {tr} differs from 1 beyond {cls.TRACE_TOL}")
-        return cls(d_a, d_b, op)
+        return state
 
     @classmethod
     def from_matrix(cls, entries, d_a: int, d_b: int) -> "BipartiteState":
@@ -260,6 +262,13 @@ class BipartiteState:
     @property
     def dim(self) -> int:
         return self.op.dim
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ascending ``(w, v)`` of ``op``: decomposed once, at validation."""
+        w, v = np.linalg.eigh(self.op.entries)
+        w.flags.writeable = v.flags.writeable = False
+        return w, v
 
     def marginal_a(self) -> HermitianOperator:
         return partial_trace(self.op, self.d_a, self.d_b, "B")

@@ -1,11 +1,14 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import maximally_correlated, random_product_state, random_state, uniform_state
 from prmi import (
+    DEFAULT_CUT,
     AmConfig,
+    BipartiteState,
     HermitianOperator,
     OrthogonalInitializer,
     algorithm1,
@@ -23,7 +26,7 @@ from prmi import (
     spectrum_floors,
     sublinear_constants,
 )
-from prmi.am_engine import NotStrictlyPositive, projective_diameter_from_vectors
+from prmi.am_engine import NotStrictlyPositive, _AmRun, projective_diameter_from_vectors
 
 
 def uniform_op(d):
@@ -62,6 +65,39 @@ class TestIterationMaps:
         rho = BipartiteState.from_matrix(sym / np.trace(sym).real, 2, 2)
         tau = random_density(2, rng)
         assert np.max(np.abs(n_b_to_a(rho, tau, 1.5).entries - n_a_to_b(rho, tau, 1.5).entries)) <= 1e-10
+
+
+class TestHalfStepKernel:
+    @pytest.mark.parametrize("alpha", [0.75, 1.5])
+    @pytest.mark.parametrize("d_a, d_b", [(2, 3), (3, 2)])
+    def test_gemv_half_steps_match_partial_minimizers(self, rng, d_a, d_b, alpha):
+        # d_a != d_b and rank-deficient marginals: a swapped index order cannot hide.
+        rho = BipartiteState.from_operator(random_density(d_a * d_b, rng, rank=2), d_a, d_b)
+        sigma0 = restrict_initializer(random_density(d_a, rng), rho.marginal_a())
+        run = _AmRun(rho, alpha, DEFAULT_CUT, sigma0)
+        run.a_to_b()
+        tau = run.tau_op()
+        assert np.max(np.abs(tau.entries - n_a_to_b(rho, sigma0, alpha).entries)) <= 1e-12
+        run.b_to_a()
+        assert np.max(np.abs(run.sigma_op().entries - n_b_to_a(rho, tau, alpha).entries)) <= 1e-12
+
+
+class TestStateSpectrumCache:
+    def test_state_decomposed_once_across_orders(self, rng, monkeypatch):
+        calls = Counter()
+        for name in ("eigh", "eigvalsh"):
+
+            def counted(a, *args, _real=getattr(np.linalg, name), **kwargs):
+                calls[np.shape(a)] += 1
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        rho = BipartiteState.from_matrix(random_density(9, rng).entries, 3, 3)
+        algorithm2(rho, AmConfig(alpha=0.75, eps0=1e-4))
+        algorithm1(rho, AmConfig(alpha=1.5))
+        algorithm1(rho, AmConfig(alpha=2.0))
+        assert calls[(9, 9)] == 1
+        assert calls[(3, 3)] > 0
 
 
 class TestRestrictInitializer:

@@ -6,6 +6,7 @@ import pytest
 from conftest import maximally_correlated, random_product_state, random_state
 from prmi.cli import (
     EXIT_INVALID,
+    EXIT_IO,
     EXIT_NO_CERTIFICATE,
     EXIT_OK,
     ParseError,
@@ -192,6 +193,12 @@ class TestMain:
     def test_missing_file_exit_two(self, tmp_path):
         code = main([str(tmp_path / "nope.json"), "--alpha", "1.5"])
         assert code == EXIT_INVALID
+
+    def test_unwritable_trace_exit_io(self, product_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "trace.json"
+        code = main([str(product_file), "--alpha", "1.5", "--trace-out", str(out)])
+        assert code == EXIT_IO
+        assert "error: alpha=1.5: cannot write trace" in capsys.readouterr().err
 
     def test_explicit_init_from_file(self, product_file, tmp_path):
         init = tmp_path / "init.json"

@@ -214,6 +214,16 @@ class TestBipartiteState:
         with pytest.raises(DimMismatch):
             BipartiteState.from_operator(random_density(4, rng), 2, 3)
 
+    def test_spectrum_read_only_and_exact(self, rng):
+        state = BipartiteState.from_operator(random_density(6, rng), 2, 3)
+        w, v = state.spectrum
+        assert state.spectrum[1] is v
+        assert np.max(np.abs((v * w) @ v.conj().T - state.op.entries)) <= 1e-14
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        with pytest.raises(ValueError):
+            v[0, 0] = 0.0
+
     def test_marginals(self, rng):
         a = random_density(2, rng)
         b = random_density(3, rng)
