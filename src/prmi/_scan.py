@@ -16,7 +16,7 @@ try:
     from numba import njit, prange
 
     _HAVE_NUMBA = True
-except ImportError:  # numba is optional (the ``jit`` extra); row_extremes falls back to numpy
+except ImportError:  # numba is used when importable; row_extremes falls back to numpy
     _HAVE_NUMBA = False
 
 # Relative slack that makes pruning bounds safe against float32 evaluation

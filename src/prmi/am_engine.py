@@ -179,7 +179,7 @@ def restrict_initializer(
 
 
 class _AmRun:
-    """Mutable state of one run; caches rho^alpha as two gemv matrices and the eigenfactors.
+    """Mutable state of one run; caches rho^alpha as one gemv matrix and the eigenfactors.
 
     States are carried as (support eigenvalues, eigenvector block) pairs so
     each half-step costs one gemv and one small eigendecomposition; the
@@ -198,9 +198,8 @@ class _AmRun:
         self.d_a = rho_ab.d_a
         self.d_b = rho_ab.d_b
         r4 = _rho_alpha_tensor(rho_ab, alpha, cut)
-        # m_a[(b, d), (c, a)] = m_b[(a, c), (d, b)] = r4[a, b, c, d], so each half-step is a gemv.
-        self.m_a = r4.transpose(1, 3, 2, 0).reshape(self.d_b**2, self.d_a**2)
-        self.m_b = r4.transpose(0, 2, 3, 1).reshape(self.d_a**2, self.d_b**2)
+        # m[(a, c), (b, d)] = r4[a, b, c, d], so each half-step is a gemv from one side.
+        self.m = r4.transpose(0, 2, 1, 3).reshape(self.d_a**2, self.d_b**2)
         self.sigma_vals, self.sigma_vecs = self._factor(sigma0.entries)
         self.tau_vals: np.ndarray | None = None
         self.tau_vecs: np.ndarray | None = None
@@ -222,7 +221,7 @@ class _AmRun:
     def a_to_b(self) -> None:
         """Update tau from sigma; refresh the objective via the closed form."""
         s = self._power(self.sigma_vals, self.sigma_vecs, 1.0 - self.alpha)
-        w_mat = (self.m_a @ s.ravel()).reshape(self.d_b, self.d_b)
+        w_mat = (s.T.ravel() @ self.m).reshape(self.d_b, self.d_b)
         vals, vecs = self._factor(w_mat)
         t = vals ** (1.0 / self.alpha)
         ssum = float(np.sum(t))
@@ -234,7 +233,7 @@ class _AmRun:
     def b_to_a(self) -> None:
         """Update sigma from tau."""
         t = self._power(self.tau_vals, self.tau_vecs, 1.0 - self.alpha)
-        w_mat = (self.m_b @ t.ravel()).reshape(self.d_a, self.d_a)
+        w_mat = (self.m @ t.T.ravel()).reshape(self.d_a, self.d_a)
         vals, vecs = self._factor(w_mat)
         s = vals ** (1.0 / self.alpha)
         self.sigma_vals = s / float(np.sum(s))
@@ -251,10 +250,10 @@ class _AmRun:
         return HermitianOperator._wrap(self._power(self.tau_vals, self.tau_vecs, 1.0))
 
     def marginal_a_of_rho_alpha(self) -> np.ndarray:
-        return (self.m_b @ np.eye(self.d_b).ravel()).reshape(self.d_a, self.d_a)
+        return (self.m @ np.eye(self.d_b).ravel()).reshape(self.d_a, self.d_a)
 
     def marginal_b_of_rho_alpha(self) -> np.ndarray:
-        return (self.m_a @ np.eye(self.d_a).ravel()).reshape(self.d_b, self.d_b)
+        return (np.eye(self.d_a).ravel() @ self.m).reshape(self.d_b, self.d_b)
 
 
 def _min_supported_eig(mat: np.ndarray, cut: SupportCutoff) -> float:
