@@ -18,8 +18,8 @@ from .operator_core import (
     DEFAULT_CUT,
     BipartiteState,
     SupportCutoff,
-    power_on_support,
 )
+from .petz_divergence import _rho_alpha_tensor
 
 _PAULIS = (
     np.eye(2, dtype=np.complex128),
@@ -174,7 +174,7 @@ def grid_min_quantum_qubit(
     if not alpha > 0 or alpha == 1.0:
         raise ValueError(f"alpha must be positive and not 1, got {alpha}")
 
-    ra = power_on_support(rho_ab.op, alpha, cut).entries
+    ra = _rho_alpha_tensor(rho_ab, alpha, cut).reshape(4, 4)
     g = np.empty((4, 4))
     for k in range(4):
         for l in range(4):

@@ -90,9 +90,7 @@ def d_alpha(
 def _rho_alpha_tensor(rho_ab: BipartiteState, alpha: float, cut: SupportCutoff) -> np.ndarray:
     """rho^alpha on its support from the cached spectrum, shaped (d_a, d_b, d_a, d_b)."""
     w, v = rho_ab.spectrum
-    mask = w > cut.rel_tol * max(float(w[-1]), 0.0)
-    wa = np.zeros_like(w)
-    wa[mask] = w[mask] ** alpha
+    wa = np.where(w > cut.rel_tol * max(float(w[-1]), 0.0), w, 0.0) ** alpha
     ra = (v * wa) @ v.conj().T
     return ra.reshape(rho_ab.d_a, rho_ab.d_b, rho_ab.d_a, rho_ab.d_b)
 
