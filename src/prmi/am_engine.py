@@ -568,8 +568,11 @@ def projective_diameter_from_vectors(
     lower-bound the projective diameter of the contraction map.
     """
     r4 = _rho_alpha_tensor(rho_ab, alpha, cut)
-    vs = np.asarray(vectors, dtype=np.complex128)
-    mats = [HermitianOperator._wrap(np.einsum("abcd,a,c->bd", r4, v.conj(), v)) for v in vs]
+    mats = []
+    for v in vectors:
+        v = np.asarray(v, dtype=np.complex128)
+        m = np.einsum("abcd,a,c->bd", r4, v.conj(), v)
+        mats.append(HermitianOperator._wrap(m))
     delta = 0.0
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
