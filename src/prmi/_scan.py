@@ -1,10 +1,10 @@
 """Fused bilinear scan kernels backing the brute-force grid oracles.
 
-The oracles reduce every objective evaluation to a 4-term dot product
-S_ij = sum_k A[i, k] * C[j, k]; these kernels stream over all pairs and keep
-per-row extremes without materializing the n-by-m value matrix.  min/max
-reductions are order-independent, so results do not depend on the thread
-schedule.  For nonnegative A an exact branch-and-prune scan skips rows whose
+The oracles reduce objective evaluations to dot products of at most four
+terms, S_ij = sum_k A[i, k] * C[j, k]; these kernels stream over all pairs
+and keep per-row extremes without materializing the n-by-m value matrix.
+min/max reductions are order-independent, so results do not depend on the
+thread schedule.  For nonnegative A an exact branch-and-prune scan skips rows whose
 best possible value provably cannot beat the incumbent.
 """
 
@@ -163,7 +163,9 @@ def pruned_pair_scan(
     best = float(per_row[k])
     best_i = int(seed_rows[k])
 
-    rows = np.setdiff1d(np.arange(n), seed_rows, assume_unique=False)
+    unseeded = np.ones(n, dtype=bool)
+    unseeded[seed_rows] = False
+    rows = np.flatnonzero(unseeded)
     cols = np.arange(m)
     for _ in range(3):
         if rows.size == 0 or cols.size == 0:

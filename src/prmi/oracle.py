@@ -3,7 +3,11 @@
 The oracles grid both product factors exhaustively and never touch the
 iteration maps, so a bug there cannot leak in here.  Objective evaluations
 are reduced to a bilinear form over precomputed grid coordinates and streamed
-through the scan kernels.
+through the scan kernels: the classical oracle runs the exact pruned pair
+scan, and the qubit oracle a separable scan that replaces the all-pairs
+search with one row maximum over Bloch directions (see
+``grid_min_quantum_qubit``).  Both return the minimum over every pair of
+grid points.
 """
 
 from __future__ import annotations
@@ -35,6 +39,19 @@ class TooLarge(Exception):
 
 @dataclass(frozen=True)
 class OracleResult:
+    """Grid minimum of the divergence over product states.
+
+    ``argmin_params`` concatenates the grid parameters of the two factors:
+    the two PMFs for ``grid_min_classical``, and the Bloch parameters
+    ``(r, theta, phi)`` of sigma then tau for ``grid_min_quantum_qubit``.
+    ``evaluations`` counts the dot products the scan computed.  For
+    ``grid_min_classical`` it is the number of (q, r) grid pairs evaluated:
+    the product of the two grid sizes less the pairs pruning skipped.  For
+    ``grid_min_quantum_qubit`` on an N-point grid with n radii and (n+1)·n
+    directions it is N·((n+1)·n + n): one product per (sigma, direction)
+    pair plus one per (sigma, radius) pair.
+    """
+
     min_value: float
     argmin_params: np.ndarray
     grid_step: float
@@ -131,7 +148,11 @@ def grid_min_classical(p_xy, alpha: float, step: float) -> OracleResult:
 
 
 def _bloch_grid(step: float) -> np.ndarray:
-    """(r, theta, phi) product grid: radii are multiples of step below 1."""
+    """(r, theta, phi) product grid: radii are multiples of step below 1.
+
+    The radius is the slowest axis, so each radius holds one contiguous block
+    of (n+1)·n directions in the same order.
+    """
     n = round(1.0 / step)
     r = np.arange(n) * step
     theta = np.arange(n + 1) * (math.pi * step)
@@ -140,19 +161,25 @@ def _bloch_grid(step: float) -> np.ndarray:
     return np.stack([rr.ravel(), tt.ravel(), pp.ravel()], axis=1)
 
 
+def _bloch_radial(r: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Half sum and half difference of the eigenvalue powers ((1 ± r)/2)^p."""
+    fp = ((1.0 + r) / 2.0) ** p
+    fm = ((1.0 - r) / 2.0) ** p
+    return (fp + fm) / 2.0, (fp - fm) / 2.0
+
+
+def _bloch_directions(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Unit Bloch vectors for polar angles theta and azimuths phi."""
+    return np.stack(
+        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=1
+    )
+
+
 def _bloch_power_coords(params: np.ndarray, p: float) -> np.ndarray:
     """Pauli coordinates of sigma^p for sigma with Bloch parameters (r, theta, phi)."""
-    r, theta, phi = params[:, 0], params[:, 1], params[:, 2]
-    lam_plus = (1.0 + r) / 2.0
-    lam_minus = (1.0 - r) / 2.0
-    fp = lam_plus**p
-    fm = lam_minus**p
-    half_sum = (fp + fm) / 2.0
-    half_diff = (fp - fm) / 2.0
-    nx = np.sin(theta) * np.cos(phi)
-    ny = np.sin(theta) * np.sin(phi)
-    nz = np.cos(theta)
-    return np.stack([half_sum, nx * half_diff, ny * half_diff, nz * half_diff], axis=1)
+    half_sum, half_diff = _bloch_radial(params[:, 0], p)
+    n = _bloch_directions(params[:, 1], params[:, 2])
+    return np.column_stack([half_sum, n * half_diff[:, None]])
 
 
 def grid_min_quantum_qubit(
@@ -161,12 +188,24 @@ def grid_min_quantum_qubit(
     step: float,
     cut: SupportCutoff = DEFAULT_CUT,
 ) -> OracleResult:
-    """Exhaustive Bloch-grid minimum of the divergence over qubit product states.
+    """Exact Bloch-grid minimum of the divergence over qubit product states.
 
-    Both factors range over Bloch-ball parameterizations with radius strictly
-    below one, which keeps all grid states full rank; the objective is the
-    bilinear pairing of rho^alpha against sigma^(1-alpha) ⊗ tau^(1-alpha)
-    expressed in Pauli coordinates.
+    Both factors range over the Bloch-ball grid of ``_bloch_grid`` (N points:
+    n radii strictly below one, so every grid state is full rank, times
+    (n+1)·n directions).  In Pauli coordinates the trace term is the bilinear
+    form S_ij = w_i · v_j with w = u g, where u_i are the coordinates of
+    sigma_i^(1-alpha), g pairs rho^alpha with Pauli products, and
+    v_j = (hs_k, hd_k n) for tau_j at radius k and direction n.  The
+    half difference hd_k = (lam_+^p - lam_-^p)/2 with p = 1 - alpha has the
+    sign of 1 - alpha, and S is maximized below order one and minimized above
+    it, so in both cases the best tau at radius k takes the direction that
+    maximizes w_i[1:] · n.  The scan therefore needs one row maximum over the
+    directions per sigma (float32, N·(n+1)·n products), a float64 pass over
+    the N·n (sigma, radius) pairs, and one float64 row to recover the
+    direction; S at the chosen pair is then evaluated in float64.  The result
+    is the minimum over all N² grid pairs, up to the float32 rounding of the
+    direction maxima when two candidates nearly tie.
+    ``evaluations`` is N·((n+1)·n + n).
     """
     if rho_ab.d_a != 2 or rho_ab.d_b != 2:
         raise TooLarge("quantum oracle limited to two qubits")
@@ -180,19 +219,27 @@ def grid_min_quantum_qubit(
         for l in range(4):
             g[k, l] = float(np.trace(ra @ np.kron(_PAULIS[k], _PAULIS[l])).real)
 
-    params = _bloch_grid(step)
     p = 1.0 - alpha
-    u = _bloch_power_coords(params, p)
-    c = _bloch_power_coords(params, p) @ g.T
+    params = _bloch_grid(step)
+    n_dirs = len(params) // round(1.0 / step)
+    half_sum, half_diff = _bloch_radial(params[::n_dirs, 0], p)
+    dirs = _bloch_directions(params[:n_dirs, 1], params[:n_dirs, 2])
+    w = _bloch_power_coords(params, p) @ g  # S_ij = w_i · (coordinates of tau_j^p)
 
-    want_max = alpha < 1
-    s_best, i, j, evaluated = _scan.pair_scan(u, c, want_max)
+    # D = log(S)/(alpha-1): maximize S below 1, minimize above.  Either way the
+    # best direction maximizes w_i[1:] · n, as half_diff has the sign of 1 - alpha.
+    e = _scan.row_extremes(w[:, 1:], dirs, want_max=True).astype(np.float64)
+    per_radius = np.outer(w[:, 0], half_sum) + np.outer(e, half_diff)
+    flat = int(np.argmax(per_radius) if alpha < 1 else np.argmin(per_radius))
+    i, k = divmod(flat, half_sum.size)
+    j = k * n_dirs + int(np.argmax(dirs @ w[i, 1:]))
+    s_best = float(w[i] @ _bloch_power_coords(params[j : j + 1], p)[0])
     value = _divergence_from_trace_term(s_best, alpha)
     return OracleResult(
         min_value=value,
         argmin_params=np.concatenate([params[i], params[j]]),
         grid_step=step,
-        evaluations=evaluated,
+        evaluations=len(params) * (n_dirs + half_sum.size),
     )
 
 

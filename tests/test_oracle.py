@@ -6,14 +6,18 @@ import pytest
 from conftest import maximally_correlated, random_pmf, random_product_state, random_state, uniform_state
 from prmi import (
     AmConfig,
+    BipartiteState,
+    HermitianOperator,
     TooLarge,
     algorithm1,
     grid_min_classical,
     grid_min_quantum_qubit,
     kl_reference,
     algorithm2,
+    d_alpha,
+    random_density,
 )
-from prmi.oracle import simplex_grid
+from prmi.oracle import _bloch_grid, simplex_grid
 from prmi import _scan
 
 
@@ -94,6 +98,38 @@ class TestClassicalOracle:
         assert res.evaluations > 0
 
 
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _bloch_state(params):
+    """Qubit density matrices (..., 2, 2) from Bloch parameters (..., 3) = (r, theta, phi)."""
+    r, theta, phi = np.moveaxis(np.asarray(params), -1, 0)
+    vec = r[..., None] * np.stack(
+        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1
+    )
+    return 0.5 * (_PAULIS[0] + np.einsum("...k,kab->...ab", vec, _PAULIS[1:]))
+
+
+def _brute_force_qubit_min(rho, alpha, step):
+    """Grid minimum over every (sigma, tau) pair of the qubit grid, all in float64.
+
+    rho^alpha and each sigma^(1-alpha) come from their own eigendecompositions;
+    S = tr[rho^alpha sigma^(1-alpha) ⊗ tau^(1-alpha)] is the bilinear form
+    u_i g u_j in Pauli coordinates, reduced in row blocks.
+    """
+    w, v = np.linalg.eigh(rho.op.entries)
+    wa = np.where(w > 1e-12 * w[-1], w, 0.0) ** alpha
+    ra = (v * wa) @ v.conj().T
+    g = np.array([[np.trace(ra @ np.kron(pk, pl)).real for pl in _PAULIS] for pk in _PAULIS])
+    lam, vec = np.linalg.eigh(_bloch_state(_bloch_grid(step)))
+    powers = (vec * lam[:, None, :] ** (1.0 - alpha)) @ np.swapaxes(vec.conj(), -1, -2)
+    u = np.einsum("nab,kba->nk", powers, _PAULIS).real / 2.0
+    c = u @ g.T
+    reduce = np.max if alpha < 1 else np.min
+    s_best = reduce([reduce(u[lo : lo + 512] @ c.T) for lo in range(0, len(u), 512)])
+    return max(math.log(s_best) / (alpha - 1.0), 0.0)
+
+
 class TestQuantumOracle:
     def test_product_state_minimum_zero(self, rng):
         rho = random_product_state(2, 2, rng)
@@ -104,11 +140,31 @@ class TestQuantumOracle:
         res = grid_min_quantum_qubit(uniform_state(2, 2), 0.75, 0.05)
         assert res.min_value <= 5e-3
 
-    def test_monotone_refinement(self, rng):
+    @pytest.mark.parametrize("alpha", [0.75, 1.5])
+    def test_monotone_refinement(self, rng, alpha):
         rho = random_state(2, 2, rng)
-        coarse = grid_min_quantum_qubit(rho, 1.5, 0.1)
-        fine = grid_min_quantum_qubit(rho, 1.5, 0.05)
+        coarse = grid_min_quantum_qubit(rho, alpha, 0.1)
+        fine = grid_min_quantum_qubit(rho, alpha, 0.05)
         assert fine.min_value <= coarse.min_value + 1e-12
+        for res, n in [(coarse, 10), (fine, 20)]:
+            grid_points = n * (n + 1) * n
+            assert res.evaluations == grid_points * ((n + 1) * n + n)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.75, 1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_matches_float64_brute_force(self, rank, alpha):
+        rho = BipartiteState.from_operator(
+            random_density(4, np.random.default_rng(300 + rank), rank=rank), 2, 2
+        )
+        for step in [0.1, 0.05]:
+            res = grid_min_quantum_qubit(rho, alpha, step)
+            assert res.min_value == pytest.approx(
+                _brute_force_qubit_min(rho, alpha, step), abs=1e-9
+            )
+            sigma = _bloch_state(res.argmin_params[:3])
+            tau = _bloch_state(res.argmin_params[3:])
+            product = HermitianOperator.from_entries(np.kron(sigma, tau))
+            assert d_alpha(rho.op, product, alpha) == pytest.approx(res.min_value, abs=1e-10)
 
     def test_sandwich_against_engine(self, rng):
         rho = random_state(2, 2, rng)
