@@ -93,6 +93,13 @@ def _as_array(p) -> np.ndarray:
     return np.asarray(p, dtype=np.float64)
 
 
+def _validated_joint(p) -> np.ndarray:
+    """Weights of a :class:`JointPmf`; raw arrays are validated as one first."""
+    if isinstance(p, JointPmf):
+        return p.weights
+    return JointPmf.from_weights(p).weights
+
+
 def _supp(v: np.ndarray) -> np.ndarray:
     top = v.max(initial=0.0)
     return v > _REL_TOL * top if top > 0 else np.zeros_like(v, dtype=bool)
@@ -280,7 +287,7 @@ def algorithm_classical(p_xy, config: AmConfig, q0=None) -> ConvergenceTrace:
     sublinear certificate, which coincides with the classical quantity on
     such states.
     """
-    P = _as_array(p_xy)
+    P = _validated_joint(p_xy)
     alpha = config.alpha
     if 0.5 < alpha < 1.0:
         init_q = _initial_q(P, config, q0)
@@ -334,7 +341,7 @@ def run_uncertified_classical(
     """Plain classical alternating minimization for exactly ``num_iter`` iterations."""
     if num_iter < 0:
         raise ValueError("num_iter must be nonnegative")
-    P = _as_array(p_xy)
+    P = _validated_joint(p_xy)
     t_start = time.perf_counter()
     run = _ClassicalRun(P, config.alpha, _initial_q(P, config, q0))
     run.x_to_y()

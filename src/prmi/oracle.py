@@ -1,13 +1,17 @@
 """Brute-force reference minimizers for validating the engine at desk scale.
 
-The oracles grid both product factors exhaustively and never touch the
-iteration maps, so a bug there cannot leak in here.  Objective evaluations
-are reduced to a bilinear form over precomputed grid coordinates and streamed
-through the scan kernels: the classical oracle runs the exact pruned pair
-scan, and the qubit oracle a separable scan that replaces the all-pairs
-search with one row maximum over Bloch directions (see
-``grid_min_quantum_qubit``).  Both return the minimum over every pair of
-grid points.
+The oracles grid both product factors and never touch the iteration maps, so
+a bug there cannot leak in here.  Both return the minimum over every pair of
+grid points without visiting every pair:
+
+- ``grid_min_classical`` fixes the first PMF q at each of its grid points.
+  The trace term is then separable and convex in the lattice counts of the
+  second PMF, so an exact per-point search by one-unit transfers between
+  coordinates finds its grid optimum.
+- ``grid_min_quantum_qubit`` reduces the tau factor to one row maximum over
+  Bloch directions per sigma, evaluated with the scan kernel of ``_scan``.
+
+Every reported minimum is evaluated in float64.
 """
 
 from __future__ import annotations
@@ -44,9 +48,11 @@ class OracleResult:
     ``argmin_params`` concatenates the grid parameters of the two factors:
     the two PMFs for ``grid_min_classical``, and the Bloch parameters
     ``(r, theta, phi)`` of sigma then tau for ``grid_min_quantum_qubit``.
-    ``evaluations`` counts the dot products the scan computed.  For
-    ``grid_min_classical`` it is the number of (q, r) grid pairs evaluated:
-    the product of the two grid sizes less the pairs pruning skipped.  For
+    ``evaluations`` counts the work the search did.  For
+    ``grid_min_classical`` it is the number of transfer-optimality checks:
+    one per q grid point (those with a zero on the support are skipped above
+    order one) plus one more for each pass in which that point still moved a
+    unit.  With a one-column support it is the number of q grid points.  For
     ``grid_min_quantum_qubit`` on an N-point grid with n radii and (n+1)·n
     directions it is N·((n+1)·n + n): one product per (sigma, direction)
     pair plus one per (sigma, radius) pair.
@@ -66,12 +72,31 @@ def _check_step(step: float) -> None:
 def _divergence_from_trace_term(s_best: float, alpha: float) -> float:
     """Map the extremal trace term to the divergence value.
 
-    The minimum over product states is nonnegative, so tiny negative values
-    produced by float32 evaluation noise are clamped to zero.
+    The divergence is nonnegative, but where a grid pair reproduces the
+    minimizer exactly (a product PMF, say) rounding can leave S a few ulp on
+    the wrong side of one; the value is then clamped to zero.
     """
     if s_best <= 0:
         return math.inf
     return max(math.log(s_best) / (alpha - 1.0), 0.0)
+
+
+def _simplex_counts(k: int, m: int) -> np.ndarray:
+    """Integer points of {n in N^k : sum n = m}, one column each, as a (k, N) array.
+
+    Columns run with the first count slowest and the second next.
+    """
+    if k == 1:
+        return np.array([[m]])
+    if k == 2:
+        i = np.arange(m + 1)
+        return np.stack([i, m - i])
+    if k == 3:
+        lengths = np.arange(m + 1, 0, -1)  # first count i leaves m - i + 1 choices
+        i = np.repeat(np.arange(m + 1), lengths)
+        j = np.arange(i.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        return np.stack([i, j, m - i - j])
+    raise TooLarge(f"simplex grid supports at most 3 outcomes, got {k}")
 
 
 def simplex_grid(k: int, step: float) -> np.ndarray:
@@ -81,45 +106,118 @@ def simplex_grid(k: int, step: float) -> np.ndarray:
     integer factor yields a superset with bit-identical common points.
     """
     _check_step(step)
-    m = round(1.0 / step)
-    if k == 1:
-        counts = np.array([[m]])
-    elif k == 2:
-        i = np.arange(m + 1)
-        counts = np.stack([i, m - i], axis=1)
-    elif k == 3:
-        i, j = np.meshgrid(np.arange(m + 1), np.arange(m + 1), indexing="ij")
-        keep = (i + j) <= m
-        counts = np.stack([i[keep], j[keep], m - i[keep] - j[keep]], axis=1)
-    else:
-        raise TooLarge(f"simplex grid supports at most 3 outcomes, got {k}")
-    return counts.astype(np.float64) * step
+    return _simplex_counts(k, round(1.0 / step)).T.astype(np.float64, order="C") * step
 
 
-def _classical_coords(grid: np.ndarray, active: np.ndarray, alpha: float):
-    """Per-point coordinates g^(1-alpha) with zeros outside the active support.
+def _grid_powers(alpha: float, step: float) -> np.ndarray:
+    """g[n] = (n·step)^(1-alpha) for the counts n = 0..1/step of one coordinate.
 
-    For alpha > 1 grid points with a zero on the active support are invalid
-    (the objective is +inf there) and are dropped; the returned index map
-    recovers original grid rows.
+    These are the powers of the ``simplex_grid`` coordinates.  g[0] is set
+    to 0 at every order; above order one a zero count is never looked up.
     """
+    counts = np.arange(1, round(1.0 / step) + 1).astype(np.float64)
+    return np.concatenate([[0.0], (counts * step) ** (1.0 - alpha)])
+
+
+def _argmax_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First row index of each column's maximum, and that maximum, for a (n, L) array.
+
+    n is at most three here; comparing whole rows is several times faster
+    than ``np.argmax(a, axis=0)`` over so short an axis.
+    """
+    best = a.max(axis=0)
+    idx = np.full(a.shape[1], a.shape[0] - 1)
+    for y in range(a.shape[0] - 2, -1, -1):
+        idx = np.where(a[y] == best, y, idx)
+    return idx, best
+
+
+def _warm_start(c: np.ndarray, alpha: float, m: int) -> np.ndarray:
+    """Lattice counts summing to m near the continuous optimum r ∝ c^(1/alpha).
+
+    Counts are rounded to nearest and the sum is corrected by one unit where
+    needed; above order one every zero count is then lifted to one, the unit
+    coming from the largest count of its column.
+    """
+    n = c.shape[0]
+    w = c ** (1.0 / alpha)
+    tot = w.sum(axis=0)
+    x = m * np.divide(w, tot, out=np.full_like(w, 1.0 / n), where=tot > 0)
+    k = np.rint(x).astype(np.int64)
+    short = m - k.sum(axis=0)  # -1, 0 or 1 for at most three coordinates
+    k[_argmax_rows((x - k) * short)[0], np.arange(k.shape[1])] += short
     if alpha > 1:
-        valid = np.all(grid[:, active] > 0, axis=1)
-    else:
-        valid = np.ones(len(grid), dtype=bool)
-    g = grid[valid]
-    coords = np.zeros_like(g)
-    nz = g > 0
-    coords[nz] = g[nz] ** (1.0 - alpha)
-    coords[:, ~active] = 0.0
-    return coords, np.flatnonzero(valid)
+        for y in range(n):
+            zero = np.flatnonzero(k[y] == 0)
+            k[y, zero] = 1
+            k[_argmax_rows(np.take(k, zero, axis=1))[0], zero] -= 1
+    return k
+
+
+def _transfer_search(c: np.ndarray, alpha: float, g: np.ndarray) -> tuple[np.ndarray, int]:
+    """Exact lattice optimum of each column of c, and the number of column checks.
+
+    Column l of the (n, L) array c >= 0 is one problem: minimize
+    sign · sum_y c[y, l] g[k_y] over counts k_y >= 0 summing to m, where g
+    is the ``_grid_powers`` table of m + 1 entries.  Below order one
+    sign = -1 (S is maximized) and g(0) = 0; above it sign = +1 and
+    g(0) = +inf, so every count stays at least one.  Each term is convex in
+    its count, so a point that no one-unit transfer between two coordinates
+    improves is a global minimum (exchange optimality of M-convex functions,
+    Murota, Discrete Convex Analysis, Thm 6.26).  Every pass applies the
+    steepest strictly improving transfer to each column that still has one;
+    a column leaves once none does, and only such certified columns are
+    returned.  Marginal costs are read from one table of grid differences,
+    whose convexity is checked first.
+    """
+    n, L = c.shape
+    m = g.size - 1
+    k = _warm_start(c, alpha, m)
+    if n == 1:
+        return k, L
+    lo = 1 if alpha > 1 else 0  # smallest allowed count
+    cost = np.diff(g) if alpha > 1 else -np.diff(g)  # cost[k]: from count k to k + 1
+    if np.any(np.diff(cost[lo:]) < 0):
+        raise ArithmeticError(
+            f"grid differences at alpha={alpha}, step 1/{m} are not convex in float64"
+        )
+    pad = np.concatenate([[0.0], cost, [0.0]])  # pad[k + 1] = cost[k]
+    live = np.arange(L)
+    checks = 0
+    for _ in range(n * m):
+        if live.size == 0:
+            return k, checks
+        checks += live.size
+        kk = np.take(k, live, axis=1)
+        cc = np.take(c, live, axis=1)
+        up = cc * pad[kk + 1]
+        up[kk == m] = np.inf
+        down = cc * pad[kk]
+        down[kk <= lo] = -np.inf
+        i, saving = _argmax_rows(down)
+        j, neg_cost = _argmax_rows(-up)
+        better = saving > -neg_cost  # implies i != j, as cost is nondecreasing
+        live = live[better]
+        k[i[better], live] -= 1
+        k[j[better], live] += 1
+    raise ArithmeticError(f"transfer search did not settle within {n * m} passes")
 
 
 def grid_min_classical(p_xy, alpha: float, step: float) -> OracleResult:
-    """Exhaustive grid minimum of the classical divergence over product PMFs."""
-    from .classical_rmi import _as_array
+    """Exact grid minimum of the classical divergence over product PMFs.
 
-    P = _as_array(p_xy)
+    For a fixed grid PMF q the trace term S = sum_y c_y r_y^(1-alpha), with
+    c_y = sum_x q_x^(1-alpha) P_xy^alpha, is separable in r.  Each point of
+    the q grid is solved exactly over the r grid by ``_transfer_search``,
+    and the best q point is taken.  The search runs on the columns of P's
+    support only: r mass off it adds nothing to S, and moving it onto the
+    support never lowers S below order one nor raises it above, so some
+    grid optimum puts none there.  Raw weights are validated as a
+    ``JointPmf``.
+    """
+    from .classical_rmi import _validated_joint
+
+    P = _validated_joint(p_xy)
     nx, ny = P.shape
     if nx > 3 or ny > 3:
         raise TooLarge(f"classical oracle limited to 3x3, got {nx}x{ny}")
@@ -131,19 +229,24 @@ def grid_min_classical(p_xy, alpha: float, step: float) -> OracleResult:
     wa[P > 0] = P[P > 0] ** alpha
     active_x = P.sum(axis=1) > 0
     active_y = P.sum(axis=0) > 0
+    g = _grid_powers(alpha, step)
 
-    q_grid = simplex_grid(nx, step)
-    r_grid = simplex_grid(ny, step)
-    u, q_idx = _classical_coords(q_grid, active_x, alpha)
-    v, r_idx = _classical_coords(r_grid, active_y, alpha)
-    c = v @ wa.T  # S_ij = sum_x u[i, x] * c[j, x]
+    q = _simplex_counts(nx, g.size - 1)
+    if alpha > 1:  # the objective is +inf where q vanishes on the support
+        q = q[:, np.all(q[active_x] > 0, axis=0)]
+    # one row per support column, C order: the search reduces over that short axis
+    c = np.ascontiguousarray(wa[active_x][:, active_y].T @ g[q[active_x]])
+    k, checks = _transfer_search(c, alpha, g)
 
-    want_max = alpha < 1  # D = log(S)/(alpha-1): maximize S below 1, minimize above
-    s_best, i, j, evaluated = _scan.pruned_pair_scan(u, c, want_max)
-    value = _divergence_from_trace_term(s_best, alpha)
-    params = np.concatenate([q_grid[q_idx[i]], r_grid[r_idx[j]]])
+    s = np.einsum("yl,yl->l", c, g[k])
+    i = int(np.argmax(s) if alpha < 1 else np.argmin(s))
+    r = np.zeros(ny)
+    r[active_y] = k[:, i] * step
     return OracleResult(
-        min_value=value, argmin_params=params, grid_step=step, evaluations=evaluated
+        min_value=_divergence_from_trace_term(float(s[i]), alpha),
+        argmin_params=np.concatenate([q[:, i] * step, r]),
+        grid_step=step,
+        evaluations=checks,
     )
 
 

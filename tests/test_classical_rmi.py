@@ -155,6 +155,17 @@ class TestClassicalAlgorithm:
         trace = algorithm_classical(p, AmConfig(alpha=4.0, eps0=1e-6))
         assert trace.terminated_by == "certificate"
 
+    @pytest.mark.parametrize(
+        "weights", [[[0.4, 0.2], [0.1, 0.6]], [[0.5, -0.1], [0.1, 0.5]], [0.5, 0.5]]
+    )
+    def test_rejects_invalid_joint_pmf(self, weights):
+        # sum 1.3, a negative entry, not a matrix
+        for alpha in [0.75, 1.5]:
+            with pytest.raises(ValueError):
+                algorithm_classical(weights, AmConfig(alpha=alpha))
+            with pytest.raises(ValueError):
+                run_uncertified_classical(weights, AmConfig(alpha=alpha), 5)
+
 
 class TestContractionClassical:
     @pytest.mark.parametrize("alpha", [0.6, 0.75, 1.5, 2.0, 4.0])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from prmi import (
     kl_reference,
     algorithm2,
     d_alpha,
+    d_alpha_classical,
     random_density,
 )
 from prmi.oracle import _bloch_grid, simplex_grid
@@ -58,6 +60,51 @@ class TestScanKernels:
             assert n2 <= 400 * 300
 
 
+def _pmfs_with_zeros(shape, rng):
+    """Seeded PMFs of one shape: one zero entry, then an all-zero row and column where possible."""
+    out = []
+    for kind in ["entry", "row", "column"]:
+        p = random_pmf(shape, rng)
+        if kind == "entry":
+            p[rng.integers(shape[0]), rng.integers(shape[1])] = 0.0
+        elif kind == "row" and shape[0] > 1:
+            p[rng.integers(shape[0])] = 0.0
+        elif kind == "column" and shape[1] > 1:
+            p[:, rng.integers(shape[1])] = 0.0
+        else:
+            continue
+        out.append(p / p.sum())
+    return out
+
+
+def _grid_points(k, step):
+    """Every PMF on k outcomes whose entries are multiples of step, from a plain enumeration."""
+    m = round(1.0 / step)
+    counts = [c for c in itertools.product(range(m + 1), repeat=k) if sum(c) == m]
+    return np.array(counts, dtype=np.float64) * step
+
+
+def _brute_force_classical_min(p, alpha, step):
+    """Grid minimum over every (q, r) pair as one float64 product u @ wa @ v.T.
+
+    Zero coordinates contribute nothing; above order one a grid PMF that
+    vanishes on the support of its marginal makes the objective +inf and is
+    dropped.
+    """
+
+    def coords(grid, support):
+        u = np.where(grid > 0, grid, 1.0) ** (1.0 - alpha) * (grid > 0)
+        if alpha > 1:
+            u = u[np.all(grid[:, support] > 0, axis=1)]
+        return u
+
+    u = coords(_grid_points(p.shape[0], step), p.sum(axis=1) > 0)
+    v = coords(_grid_points(p.shape[1], step), p.sum(axis=0) > 0)
+    s = u @ (p**alpha) @ v.T
+    s_best = s.max() if alpha < 1 else s.min()
+    return max(math.log(s_best) / (alpha - 1.0), 0.0)
+
+
 class TestClassicalOracle:
     def test_product_pmf_minimum_zero(self, rng):
         q = random_pmf(2, rng)
@@ -74,12 +121,56 @@ class TestClassicalOracle:
     def test_monotone_refinement(self, rng):
         # refinement can only lower the grid minimum; the drop is bounded by
         # an empirically generous step-proportional constant (50 * step)
-        for _ in range(5):
-            p = random_pmf((2, 2), rng)
-            coarse = grid_min_classical(p, 1.5, 0.02)
-            fine = grid_min_classical(p, 1.5, 0.01)
-            assert fine.min_value <= coarse.min_value + 1e-12
-            assert coarse.min_value - fine.min_value <= 50 * 0.02
+        pmfs = [random_pmf((2, 2), rng) for _ in range(5)]
+        with_zeros = random_pmf((3, 3), rng)
+        with_zeros[0, 1] = 0.0
+        with_zeros[:, 2] = 0.0
+        pmfs += [with_zeros / with_zeros.sum(), random_pmf((1, 3), rng), random_pmf((3, 1), rng)]
+        for p in pmfs:
+            for alpha in [0.75, 1.5, 4.0]:
+                coarse = grid_min_classical(p, alpha, 0.02)
+                fine = grid_min_classical(p, alpha, 0.01)
+                assert fine.min_value <= coarse.min_value + 1e-12
+                assert coarse.min_value - fine.min_value <= 50 * 0.02
+
+    def test_evaluations_count_transfer_checks(self):
+        # 3x1: the search is trivial, one check per q grid point (all 66
+        # below order one; the 36 with no zero coordinate above it)
+        p31 = np.array([[0.2], [0.3], [0.5]])
+        assert grid_min_classical(p31, 0.75, 0.1).evaluations == 66
+        assert grid_min_classical(p31, 1.5, 0.1).evaluations == 36
+        # 2x2 at step 0.1 and order 4: 9 q grid points are strictly
+        # positive, and one of them moves a unit and is checked again
+        p = np.array([[0.4, 0.1], [0.2, 0.3]])
+        assert grid_min_classical(p, 4.0, 0.1).evaluations == 10
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.75, 1.5, 2.0, 4.0])
+    @pytest.mark.parametrize(
+        "shape", [(2, 2), (2, 3), (3, 2), (3, 3), (1, 3), (3, 1)], ids=lambda s: f"{s[0]}x{s[1]}"
+    )
+    def test_matches_float64_brute_force(self, shape, alpha):
+        rng = np.random.default_rng(500 + 10 * shape[0] + shape[1])
+        for p in _pmfs_with_zeros(shape, rng):
+            for step in [0.1, 0.05, 0.02]:
+                res = grid_min_classical(p, alpha, step)
+                assert res.min_value == pytest.approx(
+                    _brute_force_classical_min(p, alpha, step), abs=1e-12
+                )
+                q, r = res.argmin_params[: shape[0]], res.argmin_params[shape[0] :]
+                value = max(d_alpha_classical(p, np.outer(q, r), alpha), 0.0)
+                assert value == pytest.approx(res.min_value, abs=1e-12)
+
+    def test_refuses_orders_too_close_to_one(self):
+        # g(k) = (k/100)^(-1e-14) spans only ~200 ulps, so its differences
+        # are not convex in float64 and no transfer-optimal point is certified
+        with pytest.raises(ArithmeticError):
+            grid_min_classical(np.array([[0.4, 0.1], [0.2, 0.3]]), 1.0 + 1e-14, 0.01)
+
+    def test_rejects_invalid_joint_pmf(self):
+        with pytest.raises(ValueError):
+            grid_min_classical([[0.5, -0.1], [0.1, 0.5]], 1.5, 0.01)
+        with pytest.raises(ValueError):
+            grid_min_classical([[0.4, 0.2], [0.1, 0.6]], 0.75, 0.01)
 
     def test_too_large(self, rng):
         with pytest.raises(TooLarge):
