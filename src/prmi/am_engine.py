@@ -4,8 +4,14 @@ The iteration alternates the two closed-form partial minimizers.  For
 alpha in (1, 2] the maps contract Hilbert's projective metric with ratio
 gamma = 1 - 1/alpha, which yields an a-priori epsilon schedule (linear rate);
 for alpha in (1/2, 1) the certificate is the a-posteriori bound
-c0 * sqrt(x_{n-1} - x_n) (sublinear rate).  Both certified loops, the raw
-iteration, and the stopping constants live here.
+c0 * sqrt(x_{n-1} - x_n) (sublinear rate).
+
+Every run, quantum or classical, certified or not, goes through one loop,
+``_drive``: it takes a stepper (``_AmRun`` here, ``classical_rmi._ClassicalRun``
+for PMFs) and a certificate ``eps_at(n, x_prev, x)`` (the linear schedule,
+the sublinear bound, or none), records each iterate and decides why the run
+stopped.  Each half-step's eigendecomposition goes through
+``operator_core.support_eigh``, the one cutoff eigendecomposition.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ from .operator_core import (
     HermitianOperator,
     SupportCutoff,
     random_density,
+    support_eigh,
+    support_mask,
 )
 from .petz_divergence import (
     DomainViolation,
@@ -164,10 +172,7 @@ def restrict_initializer(
     The iteration map is invariant under this restriction, so any initializer
     with nonzero overlap can be replaced by its compressed version.
     """
-    w, v = np.linalg.eigh(rho_a.entries)
-    lam_max = max(float(w[-1]), 0.0)
-    mask = w > cut.rel_tol * lam_max if lam_max > 0 else np.zeros_like(w, dtype=bool)
-    vs = v[:, mask]
+    _, vs = support_eigh(rho_a.entries, cut)
     proj = vs @ vs.conj().T
     compressed = proj @ sigma0.entries @ proj
     tr = float(np.trace(compressed).real)
@@ -207,12 +212,10 @@ class _AmRun:
         self.q = math.nan
 
     def _factor(self, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w, v = np.linalg.eigh((mat + mat.conj().T) / 2.0)
-        lam_max = max(float(w[-1]), 0.0)
-        mask = w > self.cut.rel_tol * lam_max
-        if not mask.any():
+        vals, vecs = support_eigh(mat, self.cut)
+        if not vals.size:
             raise DomainViolation("iterate collapsed to the zero operator")
-        return w[mask], v[:, mask]
+        return vals, vecs
 
     @staticmethod
     def _power(vals: np.ndarray, vecs: np.ndarray, p: float) -> np.ndarray:
@@ -249,20 +252,15 @@ class _AmRun:
     def tau_op(self) -> HermitianOperator:
         return HermitianOperator._wrap(self._power(self.tau_vals, self.tau_vecs, 1.0))
 
-    def marginal_a_of_rho_alpha(self) -> np.ndarray:
-        return (self.m @ np.eye(self.d_b).ravel()).reshape(self.d_a, self.d_a)
+    def lambda_a(self) -> float:
+        """Smallest supported eigenvalue of the A marginal of rho^alpha."""
+        marginal = (self.m @ np.eye(self.d_b).ravel()).reshape(self.d_a, self.d_a)
+        return float(self._factor(marginal)[0][0])
 
-    def marginal_b_of_rho_alpha(self) -> np.ndarray:
-        return (np.eye(self.d_a).ravel() @ self.m).reshape(self.d_b, self.d_b)
-
-
-def _min_supported_eig(mat: np.ndarray, cut: SupportCutoff) -> float:
-    w = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
-    lam_max = max(float(w[-1]), 0.0)
-    mask = w > cut.rel_tol * lam_max
-    if not mask.any():
-        raise DomainViolation("operator vanishes at the cutoff")
-    return float(np.min(w[mask]))
+    def lambda_b(self) -> float:
+        """Smallest supported eigenvalue of the B marginal of rho^alpha."""
+        marginal = (np.eye(self.d_a).ravel() @ self.m).reshape(self.d_b, self.d_b)
+        return float(self._factor(marginal)[0][0])
 
 
 def _initial_sigma(rho_ab: BipartiteState, config: AmConfig) -> HermitianOperator:
@@ -277,28 +275,37 @@ def _initial_sigma(rho_ab: BipartiteState, config: AmConfig) -> HermitianOperato
     return restrict_initializer(raw, rho_ab.marginal_a(), config.cut)
 
 
-def _linear_constants_from_run(
-    run: _AmRun, sigma0_min_eig: float, alpha: float, cut: SupportCutoff
-) -> LinearConstants:
-    lam_a = _min_supported_eig(run.marginal_a_of_rho_alpha(), cut)
-    q0 = run.q
+def _linear_constants(alpha: float, lam_a: float, q0: float, sigma0_min: float) -> LinearConstants:
+    """The linear-rate formula shared by the quantum and classical runs."""
     c_a = (lam_a / q0) ** (1.0 / alpha)
-    c0 = -2.0 * math.log(min(sigma0_min_eig, c_a))
+    c0 = -2.0 * math.log(min(sigma0_min, c_a))
     return LinearConstants(gamma=1.0 - 1.0 / alpha, c0=c0, lambda_a=lam_a, q0=q0, c_a=c_a)
 
 
-def _sublinear_constants_from_run(
-    run: _AmRun, sigma0_min_eig: float, alpha: float, cut: SupportCutoff
-) -> SublinearConstants:
-    lam_a = _min_supported_eig(run.marginal_a_of_rho_alpha(), cut)
-    lam_b = _min_supported_eig(run.marginal_b_of_rho_alpha(), cut)
+def _linear_start(
+    rho_ab: BipartiteState, sigma0: HermitianOperator, alpha: float, cut: SupportCutoff
+) -> tuple[_AmRun, LinearConstants]:
+    """Run after its first half-step from the restricted ``sigma0``, with its linear constants."""
+    run = _AmRun(rho_ab, alpha, cut, sigma0)
+    s0_min = float(np.min(run.sigma_vals))
+    run.a_to_b()
+    return run, _linear_constants(alpha, run.lambda_a(), run.q, s0_min)
+
+
+def _sublinear_start(
+    rho_ab: BipartiteState, sigma0: HermitianOperator, alpha: float, cut: SupportCutoff
+) -> tuple[_AmRun, SublinearConstants]:
+    """Run at the restricted ``sigma0`` (no half-step yet), with its sublinear constants."""
+    run = _AmRun(rho_ab, alpha, cut, sigma0)
+    s0_min = float(np.min(run.sigma_vals))
+    lam_a, lam_b = run.lambda_a(), run.lambda_b()
     bulk = max(
         lam_b**-1.0,
         lam_a ** (alpha * (1.0 - alpha) / (1.0 - 2.0 * alpha))
         * lam_b ** (alpha**2 / (1.0 - 2.0 * alpha)),
     )
-    c0 = 2.0 * math.sqrt(5.0) * bulk * sigma0_min_eig ** (alpha - 1.0)
-    return SublinearConstants(lambda_a=lam_a, lambda_b=lam_b, lambda_a0=sigma0_min_eig, c0=c0)
+    c0 = 2.0 * math.sqrt(5.0) * bulk * s0_min ** (alpha - 1.0)
+    return run, SublinearConstants(lambda_a=lam_a, lambda_b=lam_b, lambda_a0=s0_min, c0=c0)
 
 
 def linear_constants(
@@ -318,10 +325,7 @@ def linear_constants(
     if not 1.0 < alpha <= 2.0:
         raise ValueError(f"linear-rate constants require alpha in (1, 2], got {alpha}")
     sig = restrict_initializer(sigma0, rho_ab.marginal_a(), cut)
-    run = _AmRun(rho_ab, alpha, cut, sig)
-    s0_min = float(np.min(run.sigma_vals))
-    run.a_to_b()
-    return _linear_constants_from_run(run, s0_min, alpha, cut)
+    return _linear_start(rho_ab, sig, alpha, cut)[1]
 
 
 def sublinear_constants(
@@ -334,9 +338,7 @@ def sublinear_constants(
     if not 0.5 < alpha < 1.0:
         raise ValueError(f"sublinear constants require alpha in (1/2, 1), got {alpha}")
     sig = restrict_initializer(sigma0, rho_ab.marginal_a(), cut)
-    run = _AmRun(rho_ab, alpha, cut, sig)
-    s0_min = float(np.min(run.sigma_vals))
-    return _sublinear_constants_from_run(run, s0_min, alpha, cut)
+    return _sublinear_start(rho_ab, sig, alpha, cut)[1]
 
 
 def _eps_linear(alpha: float, gamma: float, c0: float, n: int) -> float:
@@ -344,6 +346,72 @@ def _eps_linear(alpha: float, gamma: float, c0: float, n: int) -> float:
     if arg > 700.0:
         return math.inf
     return math.expm1(arg) / (alpha - 1.0)
+
+
+# A certificate is a callable eps_at(n, x_prev, x) -> eps_n, or None where no
+# bound exists; x_prev is the objective one full step before x.
+
+
+def _linear_certificate(alpha: float, consts: LinearConstants):
+    """A priori schedule: eps_n depends on n alone."""
+    return lambda n, x_prev, x: _eps_linear(alpha, consts.gamma, consts.c0, n)
+
+
+def _sublinear_certificate(c0: float):
+    """A posteriori bound c0 * sqrt(x_prev - x) on the clipped drop; none at n = 0."""
+
+    def eps_at(n: int, x_prev: float, x: float) -> float | None:
+        if n == 0:
+            return None
+        drop = x_prev - x
+        if drop < -1e-10:
+            raise MonotonicityViolation(f"objective increased by {-drop:.3e} at iteration {n}")
+        return c0 * math.sqrt(max(drop, 0.0))
+
+    return eps_at
+
+
+def _no_certificate(n: int, x_prev: float, x: float) -> None:
+    return None
+
+
+def _drive(run, eps_at, config: AmConfig, max_iter: int, t_start: float) -> ConvergenceTrace:
+    """The one iteration loop of every run, quantum (``_AmRun``) or classical.
+
+    ``run`` has taken its first half-step.  Each pass records iteration n
+    (plus the states when ``config.record_states``), stops on the certificate
+    once eps_n < eps0, else on the cap once n >= max_iter, else takes a full
+    step.
+    """
+    records: list[TraceRecord] = []
+    sigmas: list[HermitianOperator] | None = [] if config.record_states else None
+    taus: list[HermitianOperator] | None = [] if config.record_states else None
+    n, x_prev = 0, run.x
+    while True:
+        eps = eps_at(n, x_prev, run.x)
+        records.append(TraceRecord(n, run.x, eps, run.q, time.perf_counter() - t_start))
+        if sigmas is not None:
+            sigmas.append(run.sigma_op())
+            taus.append(run.tau_op())
+        if eps is not None and eps < config.eps0:
+            terminated = TERMINATED_CERTIFICATE
+            break
+        if n >= max_iter:
+            terminated = TERMINATED_MAX_ITER
+            break
+        x_prev = run.x
+        run.full_step()
+        n += 1
+    return ConvergenceTrace(
+        alpha=config.alpha,
+        records=records,
+        final_x=run.x,
+        final_sigma_a=run.sigma_op(),
+        final_tau_b=run.tau_op(),
+        terminated_by=terminated,
+        sigma_states=sigmas,
+        tau_states=taus,
+    )
 
 
 def algorithm1(rho_ab: BipartiteState, config: AmConfig) -> ConvergenceTrace:
@@ -356,44 +424,8 @@ def algorithm1(rho_ab: BipartiteState, config: AmConfig) -> ConvergenceTrace:
     if not 1.0 < alpha <= 2.0:
         raise ValueError(f"algorithm1 requires alpha in (1, 2], got {alpha}")
     t_start = time.perf_counter()
-    sigma0 = _initial_sigma(rho_ab, config)
-    run = _AmRun(rho_ab, alpha, config.cut, sigma0)
-    s0_min = float(np.min(run.sigma_vals))
-    run.a_to_b()
-    consts = _linear_constants_from_run(run, s0_min, alpha, config.cut)
-
-    records: list[TraceRecord] = []
-    sigmas: list[HermitianOperator] | None = [] if config.record_states else None
-    taus: list[HermitianOperator] | None = [] if config.record_states else None
-
-    def record(n: int, eps: float | None) -> None:
-        records.append(TraceRecord(n, run.x, eps, run.q, time.perf_counter() - t_start))
-        if sigmas is not None:
-            sigmas.append(run.sigma_op())
-            taus.append(run.tau_op())
-
-    n = 0
-    eps = _eps_linear(alpha, consts.gamma, consts.c0, n)
-    record(n, eps)
-    terminated = TERMINATED_CERTIFICATE
-    while eps >= config.eps0:
-        if n >= config.max_iter:
-            terminated = TERMINATED_MAX_ITER
-            break
-        run.full_step()
-        n += 1
-        eps = _eps_linear(alpha, consts.gamma, consts.c0, n)
-        record(n, eps)
-    return ConvergenceTrace(
-        alpha=alpha,
-        records=records,
-        final_x=run.x,
-        final_sigma_a=run.sigma_op(),
-        final_tau_b=run.tau_op(),
-        terminated_by=terminated,
-        sigma_states=sigmas,
-        tau_states=taus,
-    )
+    run, consts = _linear_start(rho_ab, _initial_sigma(rho_ab, config), alpha, config.cut)
+    return _drive(run, _linear_certificate(alpha, consts), config, config.max_iter, t_start)
 
 
 def algorithm2(rho_ab: BipartiteState, config: AmConfig) -> ConvergenceTrace:
@@ -407,52 +439,9 @@ def algorithm2(rho_ab: BipartiteState, config: AmConfig) -> ConvergenceTrace:
     if not 0.5 < alpha < 1.0:
         raise ValueError(f"algorithm2 requires alpha in (1/2, 1), got {alpha}")
     t_start = time.perf_counter()
-    sigma0 = _initial_sigma(rho_ab, config)
-    run = _AmRun(rho_ab, alpha, config.cut, sigma0)
-    s0_min = float(np.min(run.sigma_vals))
-    consts = _sublinear_constants_from_run(run, s0_min, alpha, config.cut)
+    run, consts = _sublinear_start(rho_ab, _initial_sigma(rho_ab, config), alpha, config.cut)
     run.a_to_b()
-
-    records: list[TraceRecord] = []
-    sigmas: list[HermitianOperator] | None = [] if config.record_states else None
-    taus: list[HermitianOperator] | None = [] if config.record_states else None
-
-    def record(n: int, eps: float | None) -> None:
-        records.append(TraceRecord(n, run.x, eps, run.q, time.perf_counter() - t_start))
-        if sigmas is not None:
-            sigmas.append(run.sigma_op())
-            taus.append(run.tau_op())
-
-    record(0, None)
-    x_prev = run.x
-    n = 0
-    terminated = TERMINATED_MAX_ITER
-    while True:
-        if n >= config.max_iter:
-            break
-        run.full_step()
-        n += 1
-        drop = x_prev - run.x
-        if drop < -1e-10:
-            raise MonotonicityViolation(
-                f"objective increased by {-drop:.3e} at iteration {n}"
-            )
-        eps = consts.c0 * math.sqrt(max(drop, 0.0))
-        record(n, eps)
-        x_prev = run.x
-        if eps < config.eps0:
-            terminated = TERMINATED_CERTIFICATE
-            break
-    return ConvergenceTrace(
-        alpha=alpha,
-        records=records,
-        final_x=run.x,
-        final_sigma_a=run.sigma_op(),
-        final_tau_b=run.tau_op(),
-        terminated_by=terminated,
-        sigma_states=sigmas,
-        tau_states=taus,
-    )
+    return _drive(run, _sublinear_certificate(consts.c0), config, config.max_iter, t_start)
 
 
 def run_uncertified(
@@ -467,30 +456,9 @@ def run_uncertified(
     if num_iter < 0:
         raise ValueError("num_iter must be nonnegative")
     t_start = time.perf_counter()
-    sigma0 = _initial_sigma(rho_ab, config)
-    run = _AmRun(rho_ab, config.alpha, config.cut, sigma0)
+    run = _AmRun(rho_ab, config.alpha, config.cut, _initial_sigma(rho_ab, config))
     run.a_to_b()
-
-    records: list[TraceRecord] = []
-    sigmas: list[HermitianOperator] | None = [] if config.record_states else None
-    taus: list[HermitianOperator] | None = [] if config.record_states else None
-    for n in range(num_iter + 1):
-        if n > 0:
-            run.full_step()
-        records.append(TraceRecord(n, run.x, None, run.q, time.perf_counter() - t_start))
-        if sigmas is not None:
-            sigmas.append(run.sigma_op())
-            taus.append(run.tau_op())
-    return ConvergenceTrace(
-        alpha=config.alpha,
-        records=records,
-        final_x=run.x,
-        final_sigma_a=run.sigma_op(),
-        final_tau_b=run.tau_op(),
-        terminated_by=TERMINATED_MAX_ITER,
-        sigma_states=sigmas,
-        tau_states=taus,
-    )
+    return _drive(run, _no_certificate, config, num_iter, t_start)
 
 
 def spectrum_floors(
@@ -509,8 +477,7 @@ def spectrum_floors(
     sig = restrict_initializer(sigma0, rho_ab.marginal_a(), cut)
     run = _AmRun(rho_ab, alpha, cut, sig)
     s0_min = float(np.min(run.sigma_vals))
-    lam_a = _min_supported_eig(run.marginal_a_of_rho_alpha(), cut)
-    lam_b = _min_supported_eig(run.marginal_b_of_rho_alpha(), cut)
+    lam_a, lam_b = run.lambda_a(), run.lambda_b()
     if alpha > 1.0:
         run.a_to_b()
         q0 = run.q
@@ -596,8 +563,7 @@ def kappa_estimate(
     """
     if samples < 2:
         raise ValueError("samples must be at least 2")
-    w = rho_ab.spectrum[0]
-    if float(w[0]) <= cut.rel_tol * max(float(w[-1]), 0.0):
+    if not support_mask(rho_ab.spectrum[0], cut).all():
         raise NotStrictlyPositive("kappa estimate requires a strictly positive state")
     rng = np.random.default_rng(0) if rng is None else rng
     vectors = [np.eye(rho_ab.d_a)[i] for i in range(rho_ab.d_a)]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,16 +20,15 @@ from .am_engine import (
     LinearConstants,
     NotStrictlyPositive,
     OrthogonalInitializer,
-    TERMINATED_CERTIFICATE,
-    TERMINATED_MAX_ITER,
-    TraceRecord,
-    _eps_linear,
+    _drive,
+    _linear_certificate,
+    _linear_constants,
+    _no_certificate,
     algorithm2,
 )
-from .operator_core import DEFAULT_CUT, BipartiteState, HermitianOperator
+from .operator_core import DEFAULT_CUT, BipartiteState, HermitianOperator, support_mask
 from .petz_divergence import DomainViolation, UnsupportedOrder
 
-_REL_TOL = DEFAULT_CUT.rel_tol
 _SUM_TOL = 1e-12
 
 
@@ -100,14 +99,9 @@ def _validated_joint(p) -> np.ndarray:
     return JointPmf.from_weights(p).weights
 
 
-def _supp(v: np.ndarray) -> np.ndarray:
-    top = v.max(initial=0.0)
-    return v > _REL_TOL * top if top > 0 else np.zeros_like(v, dtype=bool)
-
-
 def _pow_on_supp(v: np.ndarray, p: float) -> np.ndarray:
     out = np.zeros_like(v)
-    m = _supp(v)
+    m = support_mask(v, DEFAULT_CUT)
     out[m] = v[m] ** p
     return out
 
@@ -126,8 +120,8 @@ def d_alpha_classical(p, q, alpha: float) -> float:
     qv = _as_array(q).ravel()
     if pv.shape != qv.shape:
         raise ValueError("shape mismatch")
-    sp = _supp(pv)
-    sq = _supp(qv)
+    sp = support_mask(pv, DEFAULT_CUT)
+    sq = support_mask(qv, DEFAULT_CUT)
     if alpha > 1 and np.any(sp & ~sq):
         return math.inf
     both = sp & sq
@@ -140,8 +134,8 @@ def d_alpha_classical(p, q, alpha: float) -> float:
 
 
 def _check_classical_domain(p_marg: np.ndarray, q: np.ndarray, alpha: float) -> None:
-    sp = _supp(p_marg)
-    sq = _supp(q)
+    sp = support_mask(p_marg, DEFAULT_CUT)
+    sq = support_mask(q, DEFAULT_CUT)
     if alpha > 1:
         if np.any(sp & ~sq):
             raise DomainViolation("alpha > 1 requires the marginal support inside the PMF support")
@@ -202,10 +196,10 @@ def birkhoff_kappa_classical(p_xy, alpha: float) -> float:
 
 
 def _restrict_pmf(q: np.ndarray, p_marg: np.ndarray) -> np.ndarray:
-    mask = _supp(p_marg)
+    mask = support_mask(p_marg, DEFAULT_CUT)
     restricted = np.where(mask, q, 0.0)
     tr = float(restricted.sum())
-    if tr <= _REL_TOL:
+    if tr <= DEFAULT_CUT.rel_tol:
         raise OrthogonalInitializer("initializer has no mass on the marginal support")
     return restricted / tr
 
@@ -240,6 +234,24 @@ class _ClassicalRun:
         self.y_to_x()
         self.x_to_y()
 
+    def sigma_op(self) -> HermitianOperator:
+        return HermitianOperator.diagonal(self.q_x)
+
+    def tau_op(self) -> HermitianOperator:
+        return HermitianOperator.diagonal(self.r_y)
+
+
+def _linear_start(
+    P: np.ndarray, q0_vec: np.ndarray, alpha: float
+) -> tuple[_ClassicalRun, LinearConstants]:
+    """Run after its first half-step from the restricted ``q0_vec``, with its linear constants."""
+    run = _ClassicalRun(P, alpha, q0_vec)
+    row_mass = run.wa.sum(axis=1)
+    lam_a = float(row_mass[support_mask(row_mass, DEFAULT_CUT)].min())
+    run.x_to_y()
+    q0_min = float(q0_vec[support_mask(q0_vec, DEFAULT_CUT)].min())
+    return run, _linear_constants(alpha, lam_a, run.q, q0_min)
+
 
 def classical_linear_constants(p_xy, q0_pmf, alpha: float) -> LinearConstants:
     """Classical analogue of the linear-rate stopping constants, valid for alpha > 1."""
@@ -247,16 +259,7 @@ def classical_linear_constants(p_xy, q0_pmf, alpha: float) -> LinearConstants:
         raise ValueError(f"classical linear constants require alpha > 1, got {alpha}")
     P = _as_array(p_xy)
     q0_vec = _restrict_pmf(_as_array(q0_pmf).ravel(), P.sum(axis=1))
-    wa = _pow_on_supp(P, alpha)
-    row_mass = wa.sum(axis=1)
-    lam_a = float(row_mass[_supp(row_mass)].min())
-    run = _ClassicalRun(P, alpha, q0_vec)
-    run.x_to_y()
-    q0 = run.q
-    c_a = (lam_a / q0) ** (1.0 / alpha)
-    q0_min = float(q0_vec[_supp(q0_vec)].min())
-    c0 = -2.0 * math.log(min(q0_min, c_a))
-    return LinearConstants(gamma=1.0 - 1.0 / alpha, c0=c0, lambda_a=lam_a, q0=q0, c_a=c_a)
+    return _linear_start(P, q0_vec, alpha)[1]
 
 
 def _initial_q(P: np.ndarray, config: AmConfig, q0) -> np.ndarray:
@@ -274,10 +277,6 @@ def _initial_q(P: np.ndarray, config: AmConfig, q0) -> np.ndarray:
     return _restrict_pmf(raw, p_x)
 
 
-def _diag_op(v: np.ndarray) -> HermitianOperator:
-    return HermitianOperator.diagonal(v)
-
-
 def algorithm_classical(p_xy, config: AmConfig, q0=None) -> ConvergenceTrace:
     """Certified classical run.
 
@@ -290,49 +289,15 @@ def algorithm_classical(p_xy, config: AmConfig, q0=None) -> ConvergenceTrace:
     P = _validated_joint(p_xy)
     alpha = config.alpha
     if 0.5 < alpha < 1.0:
-        init_q = _initial_q(P, config, q0)
-        qconfig = AmConfig(
-            alpha=alpha,
-            eps0=config.eps0,
-            init="explicit",
-            sigma0=_diag_op(init_q),
-            max_iter=config.max_iter,
-            cut=config.cut,
-            record_states=config.record_states,
-        )
-        return algorithm2(cc_embed(P), qconfig)
+        sigma0 = HermitianOperator.diagonal(_initial_q(P, config, q0))
+        return algorithm2(cc_embed(P), replace(config, init="explicit", sigma0=sigma0))
     if not alpha > 1.0:
         raise ValueError(
             f"certified classical runs require alpha in (1/2, 1) or (1, inf), got {alpha}"
         )
-
     t_start = time.perf_counter()
-    init_q = _initial_q(P, config, q0)
-    consts = classical_linear_constants(P, init_q, alpha)
-    run = _ClassicalRun(P, alpha, init_q)
-    run.x_to_y()
-
-    records: list[TraceRecord] = []
-    n = 0
-    eps = _eps_linear(alpha, consts.gamma, consts.c0, n)
-    records.append(TraceRecord(n, run.x, eps, run.q, time.perf_counter() - t_start))
-    terminated = TERMINATED_CERTIFICATE
-    while eps >= config.eps0:
-        if n >= config.max_iter:
-            terminated = TERMINATED_MAX_ITER
-            break
-        run.full_step()
-        n += 1
-        eps = _eps_linear(alpha, consts.gamma, consts.c0, n)
-        records.append(TraceRecord(n, run.x, eps, run.q, time.perf_counter() - t_start))
-    return ConvergenceTrace(
-        alpha=alpha,
-        records=records,
-        final_x=run.x,
-        final_sigma_a=_diag_op(run.q_x),
-        final_tau_b=_diag_op(run.r_y),
-        terminated_by=terminated,
-    )
+    run, consts = _linear_start(P, _initial_q(P, config, q0), alpha)
+    return _drive(run, _linear_certificate(alpha, consts), config, config.max_iter, t_start)
 
 
 def run_uncertified_classical(
@@ -345,15 +310,4 @@ def run_uncertified_classical(
     t_start = time.perf_counter()
     run = _ClassicalRun(P, config.alpha, _initial_q(P, config, q0))
     run.x_to_y()
-    records = [TraceRecord(0, run.x, None, run.q, time.perf_counter() - t_start)]
-    for n in range(1, num_iter + 1):
-        run.full_step()
-        records.append(TraceRecord(n, run.x, None, run.q, time.perf_counter() - t_start))
-    return ConvergenceTrace(
-        alpha=config.alpha,
-        records=records,
-        final_x=run.x,
-        final_sigma_a=_diag_op(run.q_x),
-        final_tau_b=_diag_op(run.r_y),
-        terminated_by=TERMINATED_MAX_ITER,
-    )
+    return _drive(run, _no_certificate, config, num_iter, t_start)

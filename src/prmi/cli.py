@@ -79,7 +79,6 @@ class RunSpec:
     trace_path: str
     init_path: str | None = None
     init: str = "marginal"
-    record_states: bool = False
     max_iter: int = 100_000
     uncertified: bool = False
 
@@ -281,7 +280,6 @@ def run(spec: RunSpec) -> int:
                 sigma0=sigma0,
                 max_iter=spec.max_iter,
                 cut=cut,
-                record_states=spec.record_states,
             )
             if spec.mode == "quantum":
                 trace = _dispatch_quantum(rho, alpha, spec, config)
@@ -290,6 +288,7 @@ def run(spec: RunSpec) -> int:
         except (
             ValidationError,
             ValueError,
+            InvalidOperator,
             UnsupportedOrder,
             DomainViolation,
             OrthogonalInitializer,
@@ -339,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="initializer: marginal | uniform | file:PATH",
     )
     p.add_argument("--trace-out", default="trace.json", help="trace output path")
-    p.add_argument("--record-states", action="store_true")
     p.add_argument("--max-iter", type=int, default=100_000)
     p.add_argument(
         "--uncertified",
@@ -365,7 +363,6 @@ def spec_from_args(args: argparse.Namespace) -> RunSpec:
         trace_path=args.trace_out,
         init_path=init_path,
         init=init,
-        record_states=args.record_states,
         max_iter=args.max_iter,
         uncertified=args.uncertified,
     )

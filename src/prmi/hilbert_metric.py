@@ -17,8 +17,8 @@ from .operator_core import (
     SupportCutoff,
     SupportRelation,
     ZeroOperator,
-    _supported_spectrum,
     min_nonzero_eig,
+    support_eigh,
     support_relation,
 )
 
@@ -38,14 +38,13 @@ def m_ratio(
     X is compressed to the support of Y before inverting, so the value is
     well-defined under the cutoff whenever the dominance check passes.
     """
-    wy, vy, mask = _supported_spectrum(y, cut)
-    if not mask.any():
+    wy, vs = support_eigh(y.entries, cut)
+    if not wy.size:
         raise ZeroOperator("M(X/Y) undefined for Y = 0")
     rel = support_relation(x, y, cut)
     if rel not in (SupportRelation.DOMINATED, SupportRelation.EQUAL_SUPPORT):
         return math.inf
-    vs = vy[:, mask]
-    inv_sqrt = 1.0 / np.sqrt(wy[mask])
+    inv_sqrt = 1.0 / np.sqrt(wy)
     compressed = vs.conj().T @ x.entries @ vs
     t = compressed * np.outer(inv_sqrt, inv_sqrt)
     lam = np.linalg.eigvalsh((t + t.conj().T) / 2.0)

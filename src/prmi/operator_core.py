@@ -3,7 +3,9 @@
 Everything downstream (divergences, projective metric, iteration maps) is
 built on eigendecompositions of small dense Hermitian matrices.  Powers of
 positive semidefinite operators are always taken on the support: eigenvalues
-below a relative cutoff count as kernel and map to zero.
+below a relative cutoff count as kernel and map to zero.  That rule lives in
+``support_mask``, and ``support_eigh`` is the one eigendecomposition that
+applies it.
 """
 
 from __future__ import annotations
@@ -124,20 +126,32 @@ def eig_hermitian(x: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
-def _supported_spectrum(x: HermitianOperator, cut: SupportCutoff):
-    """Eigendecomposition plus the support mask at the cutoff.
+def support_mask(values: np.ndarray, cut: SupportCutoff, top: float | None = None) -> np.ndarray:
+    """The support rule: entries above ``cut.rel_tol`` times the largest one.
 
-    Eigenvalues at or below ``rel_tol * lam_max`` are kernel.  A clearly
-    negative eigenvalue (relative to the spectral radius) is rejected since
-    every caller requires a PSD argument.
+    ``top`` is the largest entry when the caller already holds it (the last
+    value of an ascending spectrum); otherwise it is read from ``values``.
+    Nothing is in the support when no entry is positive.
     """
-    w, v = np.linalg.eigh(x.entries)
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    if scale > 0.0 and float(w[0]) < -1e-8 * scale:
-        raise InvalidOperator(f"operator is not PSD: min eigenvalue {w[0]:.3e}")
-    lam_max = max(float(w[-1]), 0.0)
-    mask = w > cut.rel_tol * lam_max if lam_max > 0.0 else np.zeros_like(w, dtype=bool)
-    return w, v, mask
+    if top is None:
+        top = float(values.max(initial=0.0))
+    return values > cut.rel_tol * max(top, 0.0)
+
+
+def support_eigh(mat: np.ndarray, cut: SupportCutoff) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenpairs of a PSD matrix on its support at the cutoff.
+
+    ``eigh`` reads one triangle, so ``mat`` need not be re-symmetrized.  A
+    clearly negative eigenvalue (relative to the spectral radius) is rejected
+    since every caller requires a PSD argument.  The zero matrix gives empty
+    arrays.
+    """
+    w, v = np.linalg.eigh(mat)
+    lo, hi = float(w[0]), float(w[-1])
+    if lo < -1e-8 * max(hi, -lo):
+        raise InvalidOperator(f"operator is not PSD: min eigenvalue {lo:.3e}")
+    mask = support_mask(w, cut, hi)
+    return w[mask], v[:, mask]
 
 
 def power_on_support(
@@ -148,14 +162,12 @@ def power_on_support(
     ``x**0`` is the support projector.  A negative power of the zero operator
     raises :class:`ZeroOperator`.
     """
-    w, v, mask = _supported_spectrum(x, cut)
-    if not mask.any():
+    w, vs = support_eigh(x.entries, cut)
+    if not w.size:
         if p < 0:
             raise ZeroOperator("negative power of the zero operator")
         return HermitianOperator._wrap(np.zeros_like(x.entries))
-    vs = v[:, mask]
-    wp = np.power(w[mask], p)
-    return HermitianOperator._wrap((vs * wp) @ vs.conj().T)
+    return HermitianOperator._wrap((vs * np.power(w, p)) @ vs.conj().T)
 
 
 def support_projector(x: HermitianOperator, cut: SupportCutoff = DEFAULT_CUT) -> HermitianOperator:
@@ -189,10 +201,10 @@ def schatten_norm(x: HermitianOperator, p: float) -> float:
 
 def min_nonzero_eig(x: HermitianOperator, cut: SupportCutoff = DEFAULT_CUT) -> float:
     """Smallest eigenvalue above the support cutoff."""
-    w, _, mask = _supported_spectrum(x, cut)
-    if not mask.any():
+    w, _ = support_eigh(x.entries, cut)
+    if not w.size:
         raise ZeroOperator("operator vanishes at the cutoff")
-    return float(np.min(w[mask]))
+    return float(w[0])
 
 
 def support_relation(

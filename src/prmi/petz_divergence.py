@@ -2,8 +2,9 @@
 
 The divergence of order alpha is ``log(tr[rho^a sigma^(1-a)]) / (a - 1)`` on
 its domain and +inf otherwise.  For a bipartite state and a fixed marginal
-argument, minimizing over the other product factor has a closed form; both the
-minimizer and the minimized value are exposed here.
+argument, minimizing over the other product factor has a closed form; the
+minimizers are exposed here as the einsum reference for the engine's gemv
+half-steps, which also carry the closed-form minimized value.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .operator_core import (
     SupportCutoff,
     SupportRelation,
     power_on_support,
+    support_mask,
     support_relation,
 )
 
@@ -90,7 +92,7 @@ def d_alpha(
 def _rho_alpha_tensor(rho_ab: BipartiteState, alpha: float, cut: SupportCutoff) -> np.ndarray:
     """rho^alpha on its support from the cached spectrum, shaped (d_a, d_b, d_a, d_b)."""
     w, v = rho_ab.spectrum
-    wa = np.where(w > cut.rel_tol * max(float(w[-1]), 0.0), w, 0.0) ** alpha
+    wa = np.where(support_mask(w, cut), w, 0.0) ** alpha
     ra = (v * wa) @ v.conj().T
     return ra.reshape(rho_ab.d_a, rho_ab.d_b, rho_ab.d_a, rho_ab.d_b)
 
@@ -157,26 +159,6 @@ def partial_min_sigma(
     if tr <= 0:
         raise DomainViolation("partial minimizer has vanishing trace")
     return HermitianOperator._wrap(sigma.entries / tr)
-
-
-def min_d_over_tau(
-    rho_ab: BipartiteState,
-    sigma_a: HermitianOperator,
-    alpha: float,
-    cut: SupportCutoff = DEFAULT_CUT,
-) -> float:
-    """Minimized divergence over the B factor: log||tr_A[rho^a sigma_A^(1-a)]||_{1/a} / (a-1)."""
-    _check_alpha(alpha)
-    _check_partial_domain(rho_ab.marginal_a(), sigma_a, alpha, cut)
-    r4 = _rho_alpha_tensor(rho_ab, alpha, cut)
-    s = power_on_support(sigma_a, 1.0 - alpha, cut).entries
-    w = HermitianOperator._wrap(_contract_a(r4, s))
-    lam = np.linalg.eigvalsh(w.entries)
-    lam = lam[lam > 0]
-    if lam.size == 0:
-        return math.inf
-    # ||W||_{1/alpha} = (sum lam^(1/alpha))^alpha
-    return (alpha / (alpha - 1.0)) * math.log(float(np.sum(lam ** (1.0 / alpha))))
 
 
 def product_operator(sigma_a: HermitianOperator, tau_b: HermitianOperator) -> HermitianOperator:

@@ -4,15 +4,23 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import maximally_correlated, random_product_state, random_state, uniform_state
+from conftest import (
+    maximally_correlated,
+    random_pmf,
+    random_product_state,
+    random_state,
+    uniform_state,
+)
 from prmi import (
     DEFAULT_CUT,
     AmConfig,
     BipartiteState,
     HermitianOperator,
+    MonotonicityViolation,
     OrthogonalInitializer,
     algorithm1,
     algorithm2,
+    algorithm_classical,
     contraction_probe,
     cross_ratio_diameter,
     d_h,
@@ -23,10 +31,16 @@ from prmi import (
     random_density,
     restrict_initializer,
     run_uncertified,
+    run_uncertified_classical,
     spectrum_floors,
     sublinear_constants,
 )
-from prmi.am_engine import NotStrictlyPositive, _AmRun, projective_diameter_from_vectors
+from prmi.am_engine import (
+    NotStrictlyPositive,
+    _AmRun,
+    _sublinear_certificate,
+    projective_diameter_from_vectors,
+)
 
 
 def uniform_op(d):
@@ -265,6 +279,39 @@ class TestAlgorithm2:
         trace = algorithm2(rho, AmConfig(alpha=0.75, eps0=1e-14))
         if trace.terminated_by == "certificate":
             assert trace.records[-1].eps_n > 0
+
+
+# Every entry point that iterates, run with an iteration cap k that no
+# certificate can beat (eps0 = 1e-12 after at most 3 full steps).
+CAPPED_RUNS = {
+    "algorithm1": lambda rho, p, k: algorithm1(rho, AmConfig(alpha=2.0, eps0=1e-12, max_iter=k)),
+    "algorithm2": lambda rho, p, k: algorithm2(rho, AmConfig(alpha=0.75, eps0=1e-12, max_iter=k)),
+    "run_uncertified": lambda rho, p, k: run_uncertified(rho, AmConfig(alpha=1.5), k),
+    "algorithm_classical": lambda rho, p, k: algorithm_classical(
+        p, AmConfig(alpha=4.0, eps0=1e-12, max_iter=k)
+    ),
+    "run_uncertified_classical": lambda rho, p, k: run_uncertified_classical(
+        p, AmConfig(alpha=1.5), k
+    ),
+}
+
+
+class TestDriver:
+    @pytest.mark.parametrize("cap", [1, 3])
+    @pytest.mark.parametrize("entry", sorted(CAPPED_RUNS))
+    def test_cap_gives_one_record_per_iteration(self, rng, entry, cap):
+        trace = CAPPED_RUNS[entry](random_state(2, 2, rng), random_pmf((2, 3), rng), cap)
+        assert [r.n for r in trace.records] == list(range(cap + 1))
+        assert trace.terminated_by == "max_iter"
+        assert trace.final_x == trace.records[-1].x_n
+
+    def test_sublinear_certificate(self):
+        eps_at = _sublinear_certificate(2.0)
+        assert eps_at(0, 0.5, 0.5) is None
+        assert eps_at(4, 0.5, 0.5 - 1e-6) == pytest.approx(2.0e-3, rel=1e-9)
+        assert eps_at(4, 0.5, 0.5 + 1e-12) == 0.0  # inside the monotonicity slack
+        with pytest.raises(MonotonicityViolation):
+            eps_at(4, 0.5, 0.5 + 1e-6)
 
 
 class TestDescentAndFixedPoint:

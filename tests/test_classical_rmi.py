@@ -155,6 +155,20 @@ class TestClassicalAlgorithm:
         trace = algorithm_classical(p, AmConfig(alpha=4.0, eps0=1e-6))
         assert trace.terminated_by == "certificate"
 
+    @pytest.mark.parametrize("alpha", [0.75, 1.5])
+    def test_record_states(self, rng, alpha):
+        p = random_pmf((2, 3), rng)
+        cfg = AmConfig(alpha=alpha, eps0=1e-6, record_states=True)
+        runs = [run_uncertified_classical(p, cfg, 5)]
+        if alpha > 1:  # below order one the certified run is the embedded quantum run
+            runs.append(algorithm_classical(p, cfg))
+        for trace in runs:
+            assert len(trace.sigma_states) == len(trace.tau_states) == len(trace.records)
+            for op in trace.sigma_states + trace.tau_states:
+                assert np.count_nonzero(op.entries - np.diag(np.diag(op.entries))) == 0
+            assert np.array_equal(trace.sigma_states[-1].entries, trace.final_sigma_a.entries)
+            assert np.array_equal(trace.tau_states[-1].entries, trace.final_tau_b.entries)
+
     @pytest.mark.parametrize(
         "weights", [[[0.4, 0.2], [0.1, 0.6]], [[0.5, -0.1], [0.1, 0.5]], [0.5, 0.5]]
     )

@@ -226,6 +226,24 @@ class TestMain:
         )
         assert code == EXIT_OK
 
+    def test_non_psd_initializer_exit_two(self, product_file, tmp_path, capsys):
+        init = tmp_path / "init.json"
+        cells = [[1.5, 0.0], [0.0, -0.5]]
+        init.write_text(json.dumps({"matrix": [[{"re": c} for c in row] for row in cells]}))
+        out = tmp_path / "trace.json"
+        argv = [str(product_file), "--alpha", "1.5", "--init", f"file:{init}"]
+        assert main(argv + ["--trace-out", str(out)]) == EXIT_INVALID
+        assert "not PSD" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_record_states_flag_rejected(self, product_file, tmp_path):
+        # Trace documents never held states, so the flag was removed.
+        out = tmp_path / "trace.json"
+        with pytest.raises(SystemExit) as err:
+            main([str(product_file), "--alpha", "1.5", "--record-states", "--trace-out", str(out)])
+        assert err.value.code == EXIT_INVALID
+        assert not out.exists()
+
     def test_support_tol_env(self, product_file, tmp_path, monkeypatch):
         monkeypatch.setenv("PRMI_SUPPORT_TOL", "1e-10")
         out = tmp_path / "trace.json"
