@@ -1,17 +1,60 @@
 """Alternating minimization for the doubly minimized Petz-Renyi mutual information.
 
 The iteration alternates the two closed-form partial minimizers.  For
-alpha in (1, 2] the maps contract Hilbert's projective metric with ratio
-gamma = 1 - 1/alpha, which yields an a-priori epsilon schedule (linear rate);
-for alpha in (1/2, 1) the certificate is the a-posteriori bound
-c0 * sqrt(x_{n-1} - x_n) (sublinear rate).
+alpha in (1, 2] (and every alpha > 1 on PMFs) the maps contract Hilbert's
+projective metric d_H with ratio gamma = 1 - 1/alpha, which gives the linear
+certificate below; for alpha in (1/2, 1) the certificate is the a-posteriori
+bound c0 * sqrt(x_{n-1} - x_n) (sublinear rate).
+
+Linear certificate.  Write sigma_n for the A iterate at record n (sigma_0 the
+restricted initializer), tau_n = N(sigma_n) for its partial minimizer, x_n
+for the objective at sigma_n (x) tau_n, and sigma*, tau* = N(sigma*), x* for
+the limit.
+
+- A full step applies two gamma-contractions, so
+  d_H(sigma_n, sigma*) <= gamma^2 d_H(sigma_{n-1}, sigma*).
+- x_n - x* <= g(d_H(sigma_n, sigma*)) with
+  g(D) = expm1((alpha-1)(1+gamma) D)/(alpha-1).  The bound compares
+  sigma_n (x) tau_n with sigma* (x) tau* factor by factor, and
+  d_H(tau_n, tau*) <= gamma d_H(sigma_n, sigma*) because tau_n, tau* are
+  images under a gamma-contraction: that is the (1+gamma) factor.  g is
+  increasing, so any upper bound D_n on d_H(sigma_n, sigma*) certifies
+  eps_n = g(D_n).  The a priori schedule is the case D_n = gamma^(2n) c0,
+  where c0 bounds d_H(sigma_0, sigma*) (``linear_constants``).
+- The triangle inequality and the contraction give
+  d_H(sigma_{n-1}, sigma*) <= d_H(sigma_{n-1}, sigma_n) + gamma^2 d_H(sigma_{n-1}, sigma*),
+  hence d_H(sigma_n, sigma*) <= gamma^2/(1-gamma^2) d_H(sigma_{n-1}, sigma_n).
+- The certificate runs the recursion D_0 = c0,
+  D_n = min(gamma^2 D_{n-1}, gamma^2/(1-gamma^2) d_n) and stops once
+  g(D_n) < eps0.  The min keeps eps_n nonincreasing and never above
+  g(gamma^(2n) c0), so no run takes more steps than the a priori n*.
+
+d_n is the computed d_H(sigma_{n-1}, sigma_n) (the steppers'
+``step_distance``; +inf after a support change, which leaves the a priori
+term) plus a floor f/gamma^2, f = 64 (d_A + d_B) eps kappa.  Rounding
+enters twice.  Whitening sigma_n by sigma_{n-1}^(-1/2) turns an absolute
+error of order eps lambda_max(sigma_n) into a relative one of order
+eps kappa(sigma_{n-1}).  And the computed sigma_n equals the exact step from
+sigma_{n-1} only within some delta in d_H, which adds delta/(1-gamma^2) to
+the bound above, i.e. delta/gamma^2 inside d_n.  Each half-step
+eigendecomposes a matrix of condition number kappa_sigma^alpha or
+kappa_tau^alpha, formed by a gemv from the other factor's power 1 - alpha
+whose terms cancel by up to kappa^(alpha-1); so delta is of order
+eps (kappa_sigma kappa_tau)^(alpha-1) (kappa_sigma + kappa_tau) = eps kappa,
+which also dominates the whitening error, and 64 (d_A + d_B) covers the
+dimension factors of the gemv and eigh backward errors.  The classical maps
+are positive sums and powers, accurate entrywise, so kappa = 1 there.  A
+stagnating iterate thus reads the floor, never 0.  Below the floor D_n can
+still shrink through gamma^2 D_{n-1} and the a priori term, which carry no
+rounding allowance.
 
 Every run, quantum or classical, certified or not, goes through one loop,
 ``_drive``: it takes a stepper (``_AmRun`` here, ``classical_rmi._ClassicalRun``
-for PMFs) and a certificate ``eps_at(n, x_prev, x)`` (the linear schedule,
+for PMFs) and a certificate ``eps_at(n, x_prev, x)`` (the linear recursion,
 the sublinear bound, or none), records each iterate and decides why the run
-stopped.  Each half-step's eigendecomposition goes through
-``operator_core.support_eigh``, the one cutoff eigendecomposition.
+stopped.  Only the linear certificate calls ``step_distance``.  Each
+half-step's eigendecomposition goes through ``operator_core.support_eigh``,
+the one cutoff eigendecomposition.
 """
 
 from __future__ import annotations
@@ -22,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert_metric import d_h
+from .hilbert_metric import d_h, whitened_distance
 from .operator_core import (
     DEFAULT_CUT,
     BipartiteState,
@@ -56,6 +99,8 @@ TERMINATED_CERTIFICATE = "certificate"
 TERMINATED_MAX_ITER = "max_iter"
 
 _INIT_CHOICES = ("marginal", "uniform", "explicit")
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -206,6 +251,7 @@ class _AmRun:
         # m[(a, c), (b, d)] = r4[a, b, c, d], so each half-step is a gemv from one side.
         self.m = r4.transpose(0, 2, 1, 3).reshape(self.d_a**2, self.d_b**2)
         self.sigma_vals, self.sigma_vecs = self._factor(sigma0.entries)
+        self.prev_sigma: tuple[np.ndarray, np.ndarray] | None = None
         self.tau_vals: np.ndarray | None = None
         self.tau_vecs: np.ndarray | None = None
         self.x = math.nan
@@ -243,8 +289,23 @@ class _AmRun:
         self.sigma_vecs = vecs
 
     def full_step(self) -> None:
+        self.prev_sigma = (self.sigma_vals, self.sigma_vecs)
         self.b_to_a()
         self.a_to_b()
+
+    def step_distance(self) -> float:
+        """d_H(sigma_{n-1}, sigma_n) plus the rounding floor; +inf when the support changed.
+
+        The new sigma is whitened in the previous one's eigenbasis, so the
+        distance costs one r x r product and one ``eigvalsh``.
+        """
+        w_old, v_old = self.prev_sigma
+        b = (v_old.conj().T @ self.sigma_vecs) * np.sqrt(self.sigma_vals)
+        dist = whitened_distance(b @ b.conj().T, float(self.sigma_vals.sum()), w_old, self.cut)
+        k_s = max(w_old[-1] / w_old[0], self.sigma_vals[-1] / self.sigma_vals[0])
+        k_t = self.tau_vals[-1] / self.tau_vals[0]
+        kappa = float((k_s * k_t) ** (self.alpha - 1.0) * (k_s + k_t))
+        return dist + step_floor(self.alpha, self.d_a + self.d_b, kappa)
 
     def sigma_op(self) -> HermitianOperator:
         return HermitianOperator._wrap(self._power(self.sigma_vals, self.sigma_vecs, 1.0))
@@ -314,7 +375,7 @@ def linear_constants(
     alpha: float,
     cut: SupportCutoff = DEFAULT_CUT,
 ) -> LinearConstants:
-    """Initializer-only bound feeding the linear-rate epsilon schedule.
+    """Initializer-only bound c0 that starts the linear certificate.
 
     lambda_A is the smallest nonzero eigenvalue of the A marginal of
     rho^alpha; q0 the objective trace term after the first half-step from the
@@ -341,20 +402,40 @@ def sublinear_constants(
     return _sublinear_start(rho_ab, sig, alpha, cut)[1]
 
 
-def _eps_linear(alpha: float, gamma: float, c0: float, n: int) -> float:
-    arg = (alpha - 1.0) * (1.0 + gamma) * gamma ** (2 * n) * c0
-    if arg > 700.0:
-        return math.inf
-    return math.expm1(arg) / (alpha - 1.0)
+def step_floor(alpha: float, dims: int, kappa: float) -> float:
+    """Rounding floor 64 * dims * eps * kappa / gamma^2 added to a computed step distance.
+
+    ``dims`` is d_A + d_B and ``kappa`` the conditioning of one full step;
+    the module docstring says why this covers the rounding.
+    """
+    gamma = 1.0 - 1.0 / alpha
+    return 64.0 * dims * _EPS * kappa / (gamma * gamma)
 
 
 # A certificate is a callable eps_at(n, x_prev, x) -> eps_n, or None where no
 # bound exists; x_prev is the objective one full step before x.
 
 
-def _linear_certificate(alpha: float, consts: LinearConstants):
-    """A priori schedule: eps_n depends on n alone."""
-    return lambda n, x_prev, x: _eps_linear(alpha, consts.gamma, consts.c0, n)
+def _linear_certificate(run, consts: LinearConstants):
+    """eps_n = g(D_n) for the bound D_n >= d_H(sigma_n, sigma*) of the module docstring.
+
+    D_0 = c0 and D_n = min(gamma^2 D_{n-1}, gamma^(2n) c0, gamma^2/(1-gamma^2) d_n)
+    with d_n = ``run.step_distance()``.  The a priori term gamma^(2n) c0 is
+    implied by the first; taking it as well keeps eps_n at or below the a
+    priori schedule in floating point too.
+    """
+    alpha, gamma, c0 = run.alpha, consts.gamma, consts.c0
+    g2 = gamma * gamma
+    bound = c0
+
+    def eps_at(n: int, x_prev: float, x: float) -> float:
+        nonlocal bound
+        if n:
+            bound = min(g2 * bound, gamma ** (2 * n) * c0, g2 / (1.0 - g2) * run.step_distance())
+        arg = (alpha - 1.0) * (1.0 + gamma) * bound
+        return math.inf if arg > 700.0 else math.expm1(arg) / (alpha - 1.0)
+
+    return eps_at
 
 
 def _sublinear_certificate(c0: float):
@@ -415,17 +496,19 @@ def _drive(run, eps_at, config: AmConfig, max_iter: int, t_start: float) -> Conv
 
 
 def algorithm1(rho_ab: BipartiteState, config: AmConfig) -> ConvergenceTrace:
-    """Certified run for alpha in (1, 2] with the a-priori epsilon schedule.
+    """Certified run for alpha in (1, 2] with the linear certificate.
 
-    Stops once eps_n = (exp((alpha-1)(1+gamma) gamma^(2n) c0) - 1)/(alpha-1)
-    drops below eps0; the output then lies within eps0 of the infimum.
+    Stops once eps_n = (exp((alpha-1)(1+gamma) D_n) - 1)/(alpha-1) drops below
+    eps0, where D_n >= d_H(sigma_n, sigma*) is the smaller of the a priori
+    gamma^(2n) c0 and the a posteriori bound from the last step (module
+    docstring); the output then lies within eps0 of the infimum.
     """
     alpha = config.alpha
     if not 1.0 < alpha <= 2.0:
         raise ValueError(f"algorithm1 requires alpha in (1, 2], got {alpha}")
     t_start = time.perf_counter()
     run, consts = _linear_start(rho_ab, _initial_sigma(rho_ab, config), alpha, config.cut)
-    return _drive(run, _linear_certificate(alpha, consts), config, config.max_iter, t_start)
+    return _drive(run, _linear_certificate(run, consts), config, config.max_iter, t_start)
 
 
 def algorithm2(rho_ab: BipartiteState, config: AmConfig) -> ConvergenceTrace:

@@ -25,7 +25,9 @@ from .am_engine import (
     _linear_constants,
     _no_certificate,
     algorithm2,
+    step_floor,
 )
+from .hilbert_metric import spread_distance
 from .operator_core import DEFAULT_CUT, BipartiteState, HermitianOperator, support_mask
 from .petz_divergence import DomainViolation, UnsupportedOrder
 
@@ -211,6 +213,7 @@ class _ClassicalRun:
         self.alpha = alpha
         self.wa = _pow_on_supp(P, alpha)
         self.q_x = q0
+        self.prev_q: np.ndarray | None = None
         self.r_y: np.ndarray | None = None
         self.x = math.nan
         self.q = math.nan
@@ -231,8 +234,18 @@ class _ClassicalRun:
         self.q_x = t / float(t.sum())
 
     def full_step(self) -> None:
+        self.prev_q = self.q_x
         self.y_to_x()
         self.x_to_y()
+
+    def step_distance(self) -> float:
+        """d_H(q_{n-1}, q_n) plus the rounding floor; +inf when the support changed."""
+        supp = support_mask(self.prev_q, DEFAULT_CUT)
+        if not np.array_equal(supp, support_mask(self.q_x, DEFAULT_CUT)):
+            return math.inf
+        ratio = self.q_x[supp] / self.prev_q[supp]
+        dist = spread_distance(ratio.max(), ratio.min(), DEFAULT_CUT.rel_tol)
+        return dist + step_floor(self.alpha, self.q_x.size + self.r_y.size, 1.0)
 
     def sigma_op(self) -> HermitianOperator:
         return HermitianOperator.diagonal(self.q_x)
@@ -281,7 +294,7 @@ def algorithm_classical(p_xy, config: AmConfig, q0=None) -> ConvergenceTrace:
     """Certified classical run.
 
     For alpha > 1 the run is native vector arithmetic with the classical
-    linear-rate schedule (any alpha in (1, inf)); for alpha in (1/2, 1) the
+    linear certificate (any alpha in (1, inf)); for alpha in (1/2, 1) the
     PMF is embedded as a diagonal state and certified through the quantum
     sublinear certificate, which coincides with the classical quantity on
     such states.
@@ -297,7 +310,7 @@ def algorithm_classical(p_xy, config: AmConfig, q0=None) -> ConvergenceTrace:
         )
     t_start = time.perf_counter()
     run, consts = _linear_start(P, _initial_q(P, config, q0), alpha)
-    return _drive(run, _linear_certificate(alpha, consts), config, config.max_iter, t_start)
+    return _drive(run, _linear_certificate(run, consts), config, config.max_iter, t_start)
 
 
 def run_uncertified_classical(

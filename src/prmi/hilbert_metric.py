@@ -3,6 +3,13 @@
 The dominance functional M(X/Y) = ||Y^(-1/2) X Y^(-1/2)||_inf and the
 projective distance d_H(X, Y) = log(M(X/Y) M(Y/X)) drive the linear-rate
 certificate; +inf is returned whenever the supports do not match.
+
+Both come from one decomposition: Y's support eigenpairs (V, w) whiten X's
+compression V^dag X V, and the whitened spectrum lam gives M(X/Y) = max lam
+and, on equal supports, d_H = log(max lam / min lam).  The support checks
+fall out of the same pieces: X << Y when X compressed to ker Y vanishes (its
+trace is tr X - tr V^dag X V), and Y << X when every whitened eigenvalue is
+above the cutoff.  For vectors the whitened spectrum is the ratio P/Q.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ import numpy as np
 
 from .operator_core import (
     DEFAULT_CUT,
+    DimMismatch,
     HermitianOperator,
     SupportCutoff,
     SupportRelation,
@@ -30,6 +38,55 @@ class SupportMismatch(Exception):
     """Arguments were required to have equal supports but do not."""
 
 
+def _compress(
+    x: HermitianOperator, y: HermitianOperator, cut: SupportCutoff
+) -> tuple[np.ndarray, np.ndarray]:
+    """Y's support eigenvalues and X compressed to supp Y (one ``support_eigh``)."""
+    if x.dim != y.dim:
+        raise DimMismatch(f"dims differ: {x.dim} vs {y.dim}")
+    wy, vy = support_eigh(y.entries, cut)
+    return wy, vy.conj().T @ x.entries @ vy
+
+
+def _dominated(compressed: np.ndarray, mass: float, cut: SupportCutoff) -> bool:
+    """X << Y: X compressed to ker Y, a PSD matrix of trace tr X - tr(compressed), vanishes."""
+    return mass - float(compressed.trace().real) <= cut.rel_tol * mass
+
+
+def _whitened_eigvals(compressed: np.ndarray, wy: np.ndarray) -> np.ndarray:
+    """Ascending spectrum of Y^(-1/2) X Y^(-1/2) on supp Y."""
+    inv_sqrt = 1.0 / np.sqrt(wy)
+    return np.linalg.eigvalsh(inv_sqrt[:, None] * compressed * inv_sqrt)
+
+
+def spread_distance(top: float, low: float, rel_tol: float) -> ProjectiveDistance:
+    """d_H = log(top/low) from the extreme whitened values of X against Y on supp Y.
+
+    Y << X exactly when the smallest value is above the cutoff, so the
+    distance is +inf otherwise.  For vectors the whitened values are the
+    ratios P/Q on the support of Q.
+    """
+    if not low > rel_tol * top:
+        return math.inf
+    return max(math.log(top / low), 0.0)
+
+
+def whitened_distance(
+    compressed: np.ndarray, mass: float, wy: np.ndarray, cut: SupportCutoff
+) -> ProjectiveDistance:
+    """d_H(X, Y) from Y's support eigenvalues ``wy`` and X compressed to supp Y.
+
+    ``compressed`` is V^dag X V for Y's support eigenvectors V and ``mass`` is
+    tr X.  One ``eigvalsh`` of the r x r whitened compression gives both the
+    distance and the check Y << X; X << Y is read off the traces.  +inf when
+    either support check fails.
+    """
+    if not _dominated(compressed, mass, cut):
+        return math.inf
+    lam = _whitened_eigvals(compressed, wy)
+    return spread_distance(lam[-1], lam[0], cut.rel_tol)
+
+
 def m_ratio(
     x: HermitianOperator, y: HermitianOperator, cut: SupportCutoff = DEFAULT_CUT
 ) -> float:
@@ -38,32 +95,25 @@ def m_ratio(
     X is compressed to the support of Y before inverting, so the value is
     well-defined under the cutoff whenever the dominance check passes.
     """
-    wy, vs = support_eigh(y.entries, cut)
+    wy, compressed = _compress(x, y, cut)
     if not wy.size:
         raise ZeroOperator("M(X/Y) undefined for Y = 0")
-    rel = support_relation(x, y, cut)
-    if rel not in (SupportRelation.DOMINATED, SupportRelation.EQUAL_SUPPORT):
+    if not _dominated(compressed, x.trace(), cut):
         return math.inf
-    inv_sqrt = 1.0 / np.sqrt(wy)
-    compressed = vs.conj().T @ x.entries @ vs
-    t = compressed * np.outer(inv_sqrt, inv_sqrt)
-    lam = np.linalg.eigvalsh((t + t.conj().T) / 2.0)
-    return float(np.max(np.abs(lam))) if lam.size else 0.0
+    return float(np.max(np.abs(_whitened_eigvals(compressed, wy))))
 
 
 def d_h(
     x: HermitianOperator, y: HermitianOperator, cut: SupportCutoff = DEFAULT_CUT
 ) -> ProjectiveDistance:
-    """Projective distance log(M(X/Y) M(Y/X)); 0 for X = Y = 0, +inf off-support."""
-    rel = support_relation(x, y, cut)
-    x_zero = float(np.max(np.abs(x.entries))) == 0.0
-    y_zero = float(np.max(np.abs(y.entries))) == 0.0
-    if x_zero and y_zero:
-        return 0.0
-    if rel is not SupportRelation.EQUAL_SUPPORT or y_zero:
-        return math.inf
-    prod = m_ratio(x, y, cut) * m_ratio(y, x, cut)
-    return max(math.log(prod), 0.0)
+    """Projective distance log(M(X/Y) M(Y/X)); 0 for X = Y = 0, +inf off-support.
+
+    One ``support_eigh`` of Y and one ``eigvalsh`` (:func:`whitened_distance`).
+    """
+    wy, compressed = _compress(x, y, cut)
+    if not wy.size:
+        return 0.0 if not np.any(x.entries) else math.inf
+    return whitened_distance(compressed, x.trace(), wy, cut)
 
 
 def d_h_bound_from_spectra(
@@ -120,8 +170,8 @@ def d_h_vec(p, q, rel_tol: float = DEFAULT_CUT.rel_tol) -> ProjectiveDistance:
         return 0.0
     if p_zero or q_zero:
         return math.inf
-    m1 = m_ratio_vec(pv, qv, rel_tol)
-    m2 = m_ratio_vec(qv, pv, rel_tol)
-    if math.isinf(m1) or math.isinf(m2):
+    if math.isinf(m_ratio_vec(pv, qv, rel_tol)):
         return math.inf
-    return max(math.log(m1 * m2), 0.0)
+    supp_q = qv > rel_tol * qv.max()
+    ratio = pv[supp_q] / qv[supp_q]
+    return spread_distance(ratio.max(), ratio.min(), rel_tol)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -39,3 +41,17 @@ def uniform_state(d_a: int, d_b: int) -> BipartiteState:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+def a_priori_eps(alpha: float, consts, n: int) -> float:
+    """The a priori schedule g(gamma^(2n) c0), g(D) = expm1((alpha-1)(1+gamma) D)/(alpha-1)."""
+    arg = (alpha - 1.0) * (1.0 + consts.gamma) * (consts.gamma ** (2 * n) * consts.c0)
+    return math.inf if arg > 700.0 else math.expm1(arg) / (alpha - 1.0)
+
+
+def a_priori_iterations(alpha: float, consts, eps0: float) -> int:
+    """n*: the first n whose a priori eps_n is below eps0."""
+    n = 0
+    while not a_priori_eps(alpha, consts, n) < eps0:
+        n += 1
+    return n

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    a_priori_eps,
+    a_priori_iterations,
     maximally_correlated,
     random_pmf,
     random_product_state,
@@ -40,7 +42,9 @@ from prmi.am_engine import (
     _AmRun,
     _sublinear_certificate,
     projective_diameter_from_vectors,
+    step_floor,
 )
+from prmi.classical_rmi import _ClassicalRun, classical_linear_constants
 
 
 def uniform_op(d):
@@ -388,3 +392,100 @@ class TestProbes:
         basis = np.eye(2)
         delta_quantum = projective_diameter_from_vectors(rho, 1.5, basis)
         assert delta_quantum == pytest.approx(cross_ratio_diameter(p, 1.5), abs=1e-10)
+
+
+def _started_run(rho, alpha):
+    run = _AmRun(rho, alpha, DEFAULT_CUT, restrict_initializer(rho.marginal_a(), rho.marginal_a()))
+    run.a_to_b()
+    run.full_step()
+    return run
+
+
+def _quantum_floor(run):
+    k_s = max(run.prev_sigma[0][-1] / run.prev_sigma[0][0], run.sigma_vals[-1] / run.sigma_vals[0])
+    k_t = run.tau_vals[-1] / run.tau_vals[0]
+    kappa = (k_s * k_t) ** (run.alpha - 1.0) * (k_s + k_t)
+    return step_floor(run.alpha, run.d_a + run.d_b, float(kappa))
+
+
+class TestStepDistance:
+    @pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3)])
+    def test_identical_iterates_read_the_floor(self, d_a, d_b):
+        # The maximally mixed state is a fixed point of the marginal initializer, bit for bit.
+        run = _started_run(uniform_state(d_a, d_b), 1.5)
+        assert np.array_equal(run.sigma_vals, run.prev_sigma[0])
+        assert np.array_equal(run.sigma_vecs, run.prev_sigma[1])
+        assert run.step_distance() == _quantum_floor(run) > 0.0
+
+    def test_product_state_reads_the_floor(self, rng):
+        run = _started_run(random_product_state(2, 3, rng), 2.0)
+        floor = _quantum_floor(run)
+        assert floor > 0.0
+        assert floor <= run.step_distance() <= floor + 1e-13
+
+    def test_classical_identical_iterates_read_the_floor(self):
+        p = np.outer([0.3, 0.7], [0.2, 0.5, 0.3])
+        run = _ClassicalRun(p, 4.0, p.sum(axis=1))
+        run.x_to_y()
+        run.full_step()
+        assert np.array_equal(run.q_x, run.prev_q)
+        assert run.step_distance() == step_floor(4.0, 5, 1.0) > 0.0
+
+    @pytest.mark.parametrize("alpha", [1.25, 2.0])
+    def test_matches_d_h_on_rank_deficient_state(self, rng, alpha):
+        rho = BipartiteState.from_operator(random_density(6, rng, rank=2), 3, 2)
+        run = _started_run(rho, alpha)
+        w, v = run.prev_sigma
+        prev = HermitianOperator._wrap((v * w) @ v.conj().T)
+        expect = d_h(run.sigma_op(), prev)
+        assert 0.0 < expect < math.inf
+        assert run.step_distance() - _quantum_floor(run) == pytest.approx(expect, rel=1e-9, abs=1e-13)
+
+    def test_support_rank_change_reads_inf(self, rng):
+        run = _started_run(random_state(2, 2, rng), 2.0)
+        w, v = run.prev_sigma
+        assert math.isfinite(run.step_distance())
+        run.prev_sigma = (w[1:], v[:, 1:])  # rank 1 -> rank 2
+        assert run.step_distance() == math.inf
+        run.prev_sigma = (w, v)
+        run.sigma_vals, run.sigma_vecs = run.sigma_vals[1:], run.sigma_vecs[:, 1:]  # rank 2 -> 1
+        assert run.step_distance() == math.inf
+
+    def test_classical_support_change_reads_inf(self, rng):
+        p = random_pmf((3, 3), rng)
+        run = _ClassicalRun(p, 2.0, p.sum(axis=1))
+        run.x_to_y()
+        run.full_step()
+        assert math.isfinite(run.step_distance())
+        run.prev_q = np.array([0.5, 0.5, 0.0])
+        assert run.step_distance() == math.inf
+
+
+class TestLinearCertificate:
+    def test_infinite_step_distance_certifies_on_a_priori_term(self, rng, monkeypatch):
+        rho = random_state(2, 2, rng)
+        consts = linear_constants(rho, rho.marginal_a(), 2.0)
+        monkeypatch.setattr(_AmRun, "step_distance", lambda self: math.inf)
+        trace = algorithm1(rho, AmConfig(alpha=2.0, eps0=1e-8))
+        assert trace.terminated_by == "certificate"
+        assert trace.iterations == a_priori_iterations(2.0, consts, 1e-8)
+        for r in trace.records:
+            assert r.eps_n == pytest.approx(a_priori_eps(2.0, consts, r.n), rel=1e-12)
+
+    def test_classical_infinite_step_distance_certifies_on_a_priori_term(self, rng, monkeypatch):
+        p = random_pmf((3, 3), rng)
+        consts = classical_linear_constants(p, p.sum(axis=1), 4.0)
+        monkeypatch.setattr(_ClassicalRun, "step_distance", lambda self: math.inf)
+        trace = algorithm_classical(p, AmConfig(alpha=4.0, eps0=1e-8))
+        assert trace.iterations == a_priori_iterations(4.0, consts, 1e-8)
+        for r in trace.records:
+            assert r.eps_n == pytest.approx(a_priori_eps(4.0, consts, r.n), rel=1e-12)
+
+    def test_stops_before_a_priori_count(self, rng):
+        rho = random_state(2, 2, rng)
+        consts = linear_constants(rho, rho.marginal_a(), 2.0)
+        trace = algorithm1(rho, AmConfig(alpha=2.0, eps0=1e-6))
+        assert trace.terminated_by == "certificate"
+        assert trace.iterations < a_priori_iterations(2.0, consts, 1e-6)
+        long_run = run_uncertified(rho, AmConfig(alpha=2.0), 500)
+        assert abs(trace.final_x - long_run.final_x) <= 1e-6

@@ -1,11 +1,15 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from prmi import (
+    DEFAULT_CUT,
+    DimMismatch,
     HermitianOperator,
     SupportMismatch,
+    SupportRelation,
     ZeroOperator,
     d_h,
     d_h_bound_from_spectra,
@@ -15,6 +19,7 @@ from prmi import (
     partial_trace,
     power_on_support,
     random_density,
+    support_relation,
     tensor_additivity_residual,
 )
 
@@ -160,3 +165,88 @@ class TestTensorAdditivity:
             HermitianOperator.from_entries(3.0 * xa.entries), ya, xb, yb
         )
         assert scaled == pytest.approx(base, abs=1e-10)
+
+
+def _composed_m_ratio(x, y):
+    """Reference: M(X/Y) through ``support_relation`` and an explicit inverse square root."""
+    wy, vs = np.linalg.eigh(y.entries)
+    keep = wy > DEFAULT_CUT.rel_tol * max(wy[-1], 0.0)
+    if not keep.any():
+        raise ZeroOperator("M(X/Y) undefined for Y = 0")
+    if support_relation(x, y) not in (SupportRelation.DOMINATED, SupportRelation.EQUAL_SUPPORT):
+        return math.inf
+    wy, vs = wy[keep], vs[:, keep]
+    inv_sqrt = 1.0 / np.sqrt(wy)
+    t = (vs.conj().T @ x.entries @ vs) * np.outer(inv_sqrt, inv_sqrt)
+    lam = np.linalg.eigvalsh((t + t.conj().T) / 2.0)
+    return float(np.max(np.abs(lam))) if lam.size else 0.0
+
+
+def _composed_d_h(x, y):
+    """Reference: log(M(X/Y) M(Y/X)) behind a ``support_relation`` check."""
+    x_zero = float(np.max(np.abs(x.entries))) == 0.0
+    y_zero = float(np.max(np.abs(y.entries))) == 0.0
+    if x_zero and y_zero:
+        return 0.0
+    if support_relation(x, y) is not SupportRelation.EQUAL_SUPPORT or y_zero:
+        return math.inf
+    return max(math.log(_composed_m_ratio(x, y) * _composed_m_ratio(y, x)), 0.0)
+
+
+def _same_support(x, rng):
+    """A random density operator with exactly the support of ``x``."""
+    w, v = np.linalg.eigh(x.entries)
+    v = v[:, w > DEFAULT_CUT.rel_tol * w[-1]]
+    g = rng.standard_normal((v.shape[1],) * 2) + 1j * rng.standard_normal((v.shape[1],) * 2)
+    m = v @ (g @ g.conj().T) @ v.conj().T
+    return HermitianOperator.from_entries(m / np.trace(m).real)
+
+
+def _pairs(rng):
+    """Equal-support, dominated, non-dominated, orthogonal and zero pairs, rank-deficient ones included."""
+    out = []
+    for d in (2, 3, 4):
+        for rank in range(1, d + 1):
+            x = random_density(d, rng, rank=rank)
+            out.append((x, _same_support(x, rng)))
+            out.append((x, random_density(d, rng)))
+            out.append((random_density(d, rng), x))
+            out.append((x, random_density(d, rng, rank=rank)))
+    zero = HermitianOperator.diagonal([0.0, 0.0, 0.0])
+    e0, e12 = HermitianOperator.diagonal([1.0, 0.0, 0.0]), HermitianOperator.diagonal([0.0, 0.4, 0.6])
+    out += [(e0, e12), (e12, e0), (zero, e0), (e0, zero), (zero, zero)]
+    return out
+
+
+class TestOneShotDH:
+    def test_matches_composed_definition(self, rng):
+        finite = 0
+        for x, y in _pairs(rng):
+            expect, got = _composed_d_h(x, y), d_h(x, y)
+            if math.isinf(expect):
+                assert got == math.inf
+            else:
+                finite += 1
+                assert got == pytest.approx(expect, rel=1e-10, abs=1e-12)
+            if np.any(y.entries):
+                m_expect, m_got = _composed_m_ratio(x, y), m_ratio(x, y)
+                assert m_got == m_expect if math.isinf(m_expect) else m_got == pytest.approx(m_expect, rel=1e-10)
+        assert finite >= 9  # the equal-support pairs, every rank
+
+    def test_one_eigh_and_one_eigvalsh(self, rng, monkeypatch):
+        x = random_density(3, rng, rank=2)
+        y = _same_support(x, rng)
+        calls = Counter()
+        for name in ("eigh", "eigvalsh"):
+
+            def counted(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        assert math.isfinite(d_h(x, y))
+        assert calls == {"eigh": 1, "eigvalsh": 1}
+
+    def test_dim_mismatch_raises(self, rng):
+        with pytest.raises(DimMismatch):
+            d_h(random_density(2, rng), random_density(3, rng))
