@@ -12,12 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-try:
-    from numba import njit, prange
-
-    _HAVE_NUMBA = True
-except ImportError:  # numba is used when importable; row_extremes falls back to numpy
-    _HAVE_NUMBA = False
+# Read only by ``bench/layers.py`` (``scan_bytes_per_eval``); the numpy kernel
+# is the only one.  Drop it with the bench's pair-scan names (ROADMAP item 6).
+_HAVE_NUMBA = False
 
 # Relative slack that makes pruning bounds safe against float32 evaluation
 # noise (~5e-7 per dot product); pruned rows provably cannot beat the
@@ -39,63 +36,20 @@ def _as_f32_4(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a)
 
 
-if _HAVE_NUMBA:
+def row_extremes(u: np.ndarray, c: np.ndarray, want_max: bool) -> np.ndarray:
+    """Per-row min (or max) over j of sum_k u[i,k] c[j,k], float32.
 
-    @njit(parallel=True, fastmath=True, cache=True)
-    def _row_min4(u, c):
-        n = u.shape[0]
-        m = c.shape[0]
-        out = np.empty(n, dtype=np.float32)
-        for i in prange(n):
-            a0 = u[i, 0]
-            a1 = u[i, 1]
-            a2 = u[i, 2]
-            a3 = u[i, 3]
-            best = np.float32(np.inf)
-            for j in range(m):
-                s = a0 * c[j, 0] + a1 * c[j, 1] + a2 * c[j, 2] + a3 * c[j, 3]
-                if s < best:
-                    best = s
-            out[i] = best
-        return out
-
-    @njit(parallel=True, fastmath=True, cache=True)
-    def _row_max4(u, c):
-        n = u.shape[0]
-        m = c.shape[0]
-        out = np.empty(n, dtype=np.float32)
-        for i in prange(n):
-            a0 = u[i, 0]
-            a1 = u[i, 1]
-            a2 = u[i, 2]
-            a3 = u[i, 3]
-            best = np.float32(-np.inf)
-            for j in range(m):
-                s = a0 * c[j, 0] + a1 * c[j, 1] + a2 * c[j, 2] + a3 * c[j, 3]
-                if s > best:
-                    best = s
-            out[i] = best
-        return out
-
-
-def _row_extremes_numpy(u: np.ndarray, c: np.ndarray, want_max: bool) -> np.ndarray:
+    Rows are multiplied in blocks of at most 2^24 products, so the n-by-m
+    value matrix is never held whole.
+    """
+    u, c = _as_f32_4(u), _as_f32_4(c)
     out = np.empty(u.shape[0], dtype=np.float32)
     reduce = np.max if want_max else np.min
     step = max(1, (1 << 24) // max(c.shape[0], 1))
     for lo in range(0, u.shape[0], step):
         hi = min(lo + step, u.shape[0])
-        block = u[lo:hi] @ c.T
-        out[lo:hi] = reduce(block, axis=1)
+        out[lo:hi] = reduce(u[lo:hi] @ c.T, axis=1)
     return out
-
-
-def row_extremes(u: np.ndarray, c: np.ndarray, want_max: bool) -> np.ndarray:
-    """Per-row min (or max) over j of sum_k u[i,k] c[j,k], float32."""
-    u4 = _as_f32_4(u)
-    c4 = _as_f32_4(c)
-    if _HAVE_NUMBA:
-        return _row_max4(u4, c4) if want_max else _row_min4(u4, c4)
-    return _row_extremes_numpy(u4, c4, want_max)
 
 
 def _argmin_in_row(u_row: np.ndarray, c: np.ndarray, want_max: bool) -> tuple[float, int]:

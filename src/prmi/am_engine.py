@@ -52,9 +52,13 @@ Every run, quantum or classical, certified or not, goes through one loop,
 ``_drive``: it takes a stepper (``_AmRun`` here, ``classical_rmi._ClassicalRun``
 for PMFs) and a certificate ``eps_at(n, x_prev, x)`` (the linear recursion,
 the sublinear bound, or none), records each iterate and decides why the run
-stopped.  Only the linear certificate calls ``step_distance``.  Each
+stopped.  Only the linear certificate calls ``step_distance``.  The constants
+of both certificates come from ``_linear_start`` and ``_sublinear_start``,
+which read them off a stepper of either kind through ``sigma0_min``,
+``lambda_a()``, ``lambda_b()`` and the first ``a_to_b``.  Each quantum
 half-step's eigendecomposition goes through ``operator_core.support_eigh``,
-the one cutoff eigendecomposition.
+the one cutoff eigendecomposition; the classical stepper applies the same
+cutoff rule, ``support_mask``, to vectors.
 """
 
 from __future__ import annotations
@@ -251,6 +255,7 @@ class _AmRun:
         # m[(a, c), (b, d)] = r4[a, b, c, d], so each half-step is a gemv from one side.
         self.m = r4.transpose(0, 2, 1, 3).reshape(self.d_a**2, self.d_b**2)
         self.sigma_vals, self.sigma_vecs = self._factor(sigma0.entries)
+        self.sigma0_min = float(self.sigma_vals[0])
         self.prev_sigma: tuple[np.ndarray, np.ndarray] | None = None
         self.tau_vals: np.ndarray | None = None
         self.tau_vecs: np.ndarray | None = None
@@ -336,29 +341,25 @@ def _initial_sigma(rho_ab: BipartiteState, config: AmConfig) -> HermitianOperato
     return restrict_initializer(raw, rho_ab.marginal_a(), config.cut)
 
 
-def _linear_constants(alpha: float, lam_a: float, q0: float, sigma0_min: float) -> LinearConstants:
-    """The linear-rate formula shared by the quantum and classical runs."""
+def _linear_start(run) -> LinearConstants:
+    """Linear constants of a fresh stepper of either kind; takes its first half-step.
+
+    The stepper (``_AmRun`` or ``classical_rmi._ClassicalRun``) provides
+    ``sigma0_min``, the smallest supported value of the restricted
+    initializer, ``lambda_a()`` and ``a_to_b``, after which ``run.q`` is q0.
+    The formula is the one :func:`linear_constants` documents.
+    """
+    alpha = run.alpha
+    run.a_to_b()
+    lam_a, q0 = run.lambda_a(), run.q
     c_a = (lam_a / q0) ** (1.0 / alpha)
-    c0 = -2.0 * math.log(min(sigma0_min, c_a))
+    c0 = -2.0 * math.log(min(run.sigma0_min, c_a))
     return LinearConstants(gamma=1.0 - 1.0 / alpha, c0=c0, lambda_a=lam_a, q0=q0, c_a=c_a)
 
 
-def _linear_start(
-    rho_ab: BipartiteState, sigma0: HermitianOperator, alpha: float, cut: SupportCutoff
-) -> tuple[_AmRun, LinearConstants]:
-    """Run after its first half-step from the restricted ``sigma0``, with its linear constants."""
-    run = _AmRun(rho_ab, alpha, cut, sigma0)
-    s0_min = float(np.min(run.sigma_vals))
-    run.a_to_b()
-    return run, _linear_constants(alpha, run.lambda_a(), run.q, s0_min)
-
-
-def _sublinear_start(
-    rho_ab: BipartiteState, sigma0: HermitianOperator, alpha: float, cut: SupportCutoff
-) -> tuple[_AmRun, SublinearConstants]:
-    """Run at the restricted ``sigma0`` (no half-step yet), with its sublinear constants."""
-    run = _AmRun(rho_ab, alpha, cut, sigma0)
-    s0_min = float(np.min(run.sigma_vals))
+def _sublinear_start(run) -> SublinearConstants:
+    """Sublinear constants of a fresh stepper of either kind; no half-step is taken."""
+    alpha, s0_min = run.alpha, run.sigma0_min
     lam_a, lam_b = run.lambda_a(), run.lambda_b()
     bulk = max(
         lam_b**-1.0,
@@ -366,7 +367,7 @@ def _sublinear_start(
         * lam_b ** (alpha**2 / (1.0 - 2.0 * alpha)),
     )
     c0 = 2.0 * math.sqrt(5.0) * bulk * s0_min ** (alpha - 1.0)
-    return run, SublinearConstants(lambda_a=lam_a, lambda_b=lam_b, lambda_a0=s0_min, c0=c0)
+    return SublinearConstants(lambda_a=lam_a, lambda_b=lam_b, lambda_a0=s0_min, c0=c0)
 
 
 def linear_constants(
@@ -386,7 +387,7 @@ def linear_constants(
     if not 1.0 < alpha <= 2.0:
         raise ValueError(f"linear-rate constants require alpha in (1, 2], got {alpha}")
     sig = restrict_initializer(sigma0, rho_ab.marginal_a(), cut)
-    return _linear_start(rho_ab, sig, alpha, cut)[1]
+    return _linear_start(_AmRun(rho_ab, alpha, cut, sig))
 
 
 def sublinear_constants(
@@ -399,7 +400,7 @@ def sublinear_constants(
     if not 0.5 < alpha < 1.0:
         raise ValueError(f"sublinear constants require alpha in (1/2, 1), got {alpha}")
     sig = restrict_initializer(sigma0, rho_ab.marginal_a(), cut)
-    return _sublinear_start(rho_ab, sig, alpha, cut)[1]
+    return _sublinear_start(_AmRun(rho_ab, alpha, cut, sig))
 
 
 def step_floor(alpha: float, dims: int, kappa: float) -> float:
@@ -507,8 +508,9 @@ def algorithm1(rho_ab: BipartiteState, config: AmConfig) -> ConvergenceTrace:
     if not 1.0 < alpha <= 2.0:
         raise ValueError(f"algorithm1 requires alpha in (1, 2], got {alpha}")
     t_start = time.perf_counter()
-    run, consts = _linear_start(rho_ab, _initial_sigma(rho_ab, config), alpha, config.cut)
-    return _drive(run, _linear_certificate(run, consts), config, config.max_iter, t_start)
+    run = _AmRun(rho_ab, alpha, config.cut, _initial_sigma(rho_ab, config))
+    certificate = _linear_certificate(run, _linear_start(run))
+    return _drive(run, certificate, config, config.max_iter, t_start)
 
 
 def algorithm2(rho_ab: BipartiteState, config: AmConfig) -> ConvergenceTrace:
@@ -522,9 +524,10 @@ def algorithm2(rho_ab: BipartiteState, config: AmConfig) -> ConvergenceTrace:
     if not 0.5 < alpha < 1.0:
         raise ValueError(f"algorithm2 requires alpha in (1/2, 1), got {alpha}")
     t_start = time.perf_counter()
-    run, consts = _sublinear_start(rho_ab, _initial_sigma(rho_ab, config), alpha, config.cut)
+    run = _AmRun(rho_ab, alpha, config.cut, _initial_sigma(rho_ab, config))
+    certificate = _sublinear_certificate(_sublinear_start(run).c0)
     run.a_to_b()
-    return _drive(run, _sublinear_certificate(consts.c0), config, config.max_iter, t_start)
+    return _drive(run, certificate, config, config.max_iter, t_start)
 
 
 def run_uncertified(
@@ -557,20 +560,17 @@ def spectrum_floors(
     tau); for alpha in (1/2, 1) they depend on the initializer spectrum and
     apply to every iterate.
     """
-    sig = restrict_initializer(sigma0, rho_ab.marginal_a(), cut)
-    run = _AmRun(rho_ab, alpha, cut, sig)
-    s0_min = float(np.min(run.sigma_vals))
-    lam_a, lam_b = run.lambda_a(), run.lambda_b()
+    run = _AmRun(rho_ab, alpha, cut, restrict_initializer(sigma0, rho_ab.marginal_a(), cut))
     if alpha > 1.0:
-        run.a_to_b()
-        q0 = run.q
-        return (lam_a / q0) ** (1.0 / alpha), (lam_b / q0) ** (1.0 / alpha)
+        lin = _linear_start(run)
+        return lin.c_a, (run.lambda_b() / lin.q0) ** (1.0 / alpha)
     if not 0.5 < alpha < 1.0:
         raise ValueError(f"spectrum floors require alpha in (1/2, 1) or (1, inf), got {alpha}")
+    sub = _sublinear_start(run)
     exp1 = alpha / (2.0 * alpha - 1.0)
     exp2 = (1.0 - alpha) / (2.0 * alpha - 1.0)
-    c_a = min(1.0, lam_a**exp1 * lam_b**exp2) * s0_min
-    c_b = lam_b ** (1.0 / alpha) * c_a ** ((1.0 - alpha) / alpha)
+    c_a = min(1.0, sub.lambda_a**exp1 * sub.lambda_b**exp2) * sub.lambda_a0
+    c_b = sub.lambda_b ** (1.0 / alpha) * c_a ** ((1.0 - alpha) / alpha)
     return c_a, c_b
 
 

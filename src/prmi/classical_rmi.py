@@ -4,13 +4,21 @@ A classical-classical state is a density matrix diagonal in a fixed product
 basis; its joint PMF carries all the structure.  The iteration maps become
 vector updates, the projective metric becomes a max-ratio over coordinates,
 and the linear-rate certificate extends to every alpha > 1.
+
+One vector stepper, ``_ClassicalRun``, implements the classical half-step for
+every entry point: the maps ``n_x_to_y``/``n_y_to_x``, ``algorithm_classical``
+at both certificates, and ``run_uncertified_classical``.  It is the quantum
+stepper on the diagonal state ``cc_embed(P)``, with the support cutoff applied
+at the same places, so the quantum certificates hold for it as they stand;
+their constants come from the shared ``am_engine`` start helpers.
+``cc_embed`` stays as the reference the tests compare against.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,14 +30,15 @@ from .am_engine import (
     OrthogonalInitializer,
     _drive,
     _linear_certificate,
-    _linear_constants,
+    _linear_start,
     _no_certificate,
-    algorithm2,
+    _sublinear_certificate,
+    _sublinear_start,
     step_floor,
 )
 from .hilbert_metric import spread_distance
-from .operator_core import DEFAULT_CUT, BipartiteState, HermitianOperator, support_mask
-from .petz_divergence import DomainViolation, UnsupportedOrder
+from .operator_core import DEFAULT_CUT, BipartiteState, HermitianOperator, SupportCutoff, support_mask
+from .petz_divergence import DomainViolation, UnsupportedOrder, _check_alpha
 
 _SUM_TOL = 1e-12
 
@@ -101,11 +110,15 @@ def _validated_joint(p) -> np.ndarray:
     return JointPmf.from_weights(p).weights
 
 
-def _pow_on_supp(v: np.ndarray, p: float) -> np.ndarray:
+def _pow_on(v: np.ndarray, mask: np.ndarray, p: float) -> np.ndarray:
+    """``v ** p`` on ``mask``, zero elsewhere."""
     out = np.zeros_like(v)
-    m = support_mask(v, DEFAULT_CUT)
-    out[m] = v[m] ** p
+    out[mask] = v[mask] ** p
     return out
+
+
+def _smallest_supported(v: np.ndarray, cut: SupportCutoff) -> float:
+    return float(v[support_mask(v, cut)].min())
 
 
 def d_alpha_classical(p, q, alpha: float) -> float:
@@ -145,24 +158,27 @@ def _check_classical_domain(p_marg: np.ndarray, q: np.ndarray, alpha: float) -> 
         raise DomainViolation("marginal and PMF have disjoint supports")
 
 
+def _map_once(P: np.ndarray, q: np.ndarray, alpha: float) -> Pmf:
+    _check_alpha(alpha)  # the quantum maps' orders; the stepper divides by alpha - 1
+    run = _ClassicalRun(P, alpha, DEFAULT_CUT, q)
+    run.a_to_b()
+    return Pmf.from_weights(run.r_y)
+
+
 def n_x_to_y(p_xy, q_x, alpha: float) -> Pmf:
     """Classical X-to-Y iteration map: normalized (sum_x P^alpha Q^(1-alpha))^(1/alpha)."""
-    P = _as_array(p_xy)
+    P = _validated_joint(p_xy)
     q = _as_array(q_x).ravel()
     _check_classical_domain(P.sum(axis=1), q, alpha)
-    w = _pow_on_supp(q, 1.0 - alpha) @ _pow_on_supp(P, alpha)
-    t = _pow_on_supp(w, 1.0 / alpha)
-    return Pmf.from_weights(t / t.sum())
+    return _map_once(P, q, alpha)
 
 
 def n_y_to_x(p_xy, r_y, alpha: float) -> Pmf:
-    """Classical Y-to-X iteration map, mirror of :func:`n_x_to_y`."""
-    P = _as_array(p_xy)
+    """Classical Y-to-X iteration map: :func:`n_x_to_y` of the transposed PMF."""
+    P = _validated_joint(p_xy)
     r = _as_array(r_y).ravel()
     _check_classical_domain(P.sum(axis=0), r, alpha)
-    w = _pow_on_supp(P, alpha) @ _pow_on_supp(r, 1.0 - alpha)
-    t = _pow_on_supp(w, 1.0 / alpha)
-    return Pmf.from_weights(t / t.sum())
+    return _map_once(P.T, r, alpha)
 
 
 def cc_embed(p_xy) -> BipartiteState:
@@ -197,54 +213,65 @@ def birkhoff_kappa_classical(p_xy, alpha: float) -> float:
     return math.tanh(cross_ratio_diameter(p_xy, alpha) / 4.0)
 
 
-def _restrict_pmf(q: np.ndarray, p_marg: np.ndarray) -> np.ndarray:
-    mask = support_mask(p_marg, DEFAULT_CUT)
+def _restrict_pmf(q: np.ndarray, p_marg: np.ndarray, cut: SupportCutoff) -> np.ndarray:
+    mask = support_mask(p_marg, cut)
     restricted = np.where(mask, q, 0.0)
     tr = float(restricted.sum())
-    if tr <= DEFAULT_CUT.rel_tol:
+    if tr <= cut.rel_tol:
         raise OrthogonalInitializer("initializer has no mass on the marginal support")
     return restricted / tr
 
 
 class _ClassicalRun:
-    """Vector-arithmetic twin of the quantum run for a fixed joint PMF."""
+    """``am_engine._AmRun`` on a diagonal state, with vectors for eigenpairs.
 
-    def __init__(self, P: np.ndarray, alpha: float, q0: np.ndarray) -> None:
+    The cutoff acts where it acts in the quantum run: once on P before the
+    power alpha and on the initial q (the support eigenvalues of rho and of
+    sigma0), and on each half-step's weights w before the power 1/alpha.  q
+    and r are then powered on their exact nonzero entries.
+    """
+
+    def __init__(self, P: np.ndarray, alpha: float, cut: SupportCutoff, q0: np.ndarray) -> None:
         self.alpha = alpha
-        self.wa = _pow_on_supp(P, alpha)
-        self.q_x = q0
+        self.cut = cut
+        self.wa = _pow_on(P, support_mask(P, cut), alpha)
+        self.q_x = np.where(support_mask(q0, cut), q0, 0.0)
+        self.sigma0_min = _smallest_supported(self.q_x, cut)
         self.prev_q: np.ndarray | None = None
         self.r_y: np.ndarray | None = None
         self.x = math.nan
         self.q = math.nan
 
-    def x_to_y(self) -> None:
-        w = _pow_on_supp(self.q_x, 1.0 - self.alpha) @ self.wa
-        t = _pow_on_supp(w, 1.0 / self.alpha)
+    def _root(self, w: np.ndarray) -> tuple[np.ndarray, float]:
+        """w^(1/alpha) on the support of w, normalized, and its mass before normalizing."""
+        t = _pow_on(w, support_mask(w, self.cut), 1.0 / self.alpha)
         s = float(t.sum())
         if s <= 0:
             raise DomainViolation("iterate collapsed to zero")
-        self.r_y = t / s
+        return t / s, s
+
+    def a_to_b(self) -> None:
+        """Update r from q; refresh the objective via the closed form."""
+        self.r_y, s = self._root(_pow_on(self.q_x, self.q_x > 0, 1.0 - self.alpha) @ self.wa)
         self.x = (self.alpha / (self.alpha - 1.0)) * math.log(s)
         self.q = s**self.alpha
 
-    def y_to_x(self) -> None:
-        w = self.wa @ _pow_on_supp(self.r_y, 1.0 - self.alpha)
-        t = _pow_on_supp(w, 1.0 / self.alpha)
-        self.q_x = t / float(t.sum())
+    def b_to_a(self) -> None:
+        """Update q from r."""
+        self.q_x = self._root(self.wa @ _pow_on(self.r_y, self.r_y > 0, 1.0 - self.alpha))[0]
 
     def full_step(self) -> None:
         self.prev_q = self.q_x
-        self.y_to_x()
-        self.x_to_y()
+        self.b_to_a()
+        self.a_to_b()
 
     def step_distance(self) -> float:
         """d_H(q_{n-1}, q_n) plus the rounding floor; +inf when the support changed."""
-        supp = support_mask(self.prev_q, DEFAULT_CUT)
-        if not np.array_equal(supp, support_mask(self.q_x, DEFAULT_CUT)):
+        supp = self.prev_q > 0
+        if not np.array_equal(supp, self.q_x > 0):
             return math.inf
         ratio = self.q_x[supp] / self.prev_q[supp]
-        dist = spread_distance(ratio.max(), ratio.min(), DEFAULT_CUT.rel_tol)
+        dist = spread_distance(ratio.max(), ratio.min(), self.cut.rel_tol)
         return dist + step_floor(self.alpha, self.q_x.size + self.r_y.size, 1.0)
 
     def sigma_op(self) -> HermitianOperator:
@@ -253,26 +280,22 @@ class _ClassicalRun:
     def tau_op(self) -> HermitianOperator:
         return HermitianOperator.diagonal(self.r_y)
 
+    def lambda_a(self) -> float:
+        """Smallest supported row sum of P^alpha (the A marginal of rho^alpha)."""
+        return _smallest_supported(self.wa.sum(axis=1), self.cut)
 
-def _linear_start(
-    P: np.ndarray, q0_vec: np.ndarray, alpha: float
-) -> tuple[_ClassicalRun, LinearConstants]:
-    """Run after its first half-step from the restricted ``q0_vec``, with its linear constants."""
-    run = _ClassicalRun(P, alpha, q0_vec)
-    row_mass = run.wa.sum(axis=1)
-    lam_a = float(row_mass[support_mask(row_mass, DEFAULT_CUT)].min())
-    run.x_to_y()
-    q0_min = float(q0_vec[support_mask(q0_vec, DEFAULT_CUT)].min())
-    return run, _linear_constants(alpha, lam_a, run.q, q0_min)
+    def lambda_b(self) -> float:
+        """Smallest supported column sum of P^alpha (the B marginal of rho^alpha)."""
+        return _smallest_supported(self.wa.sum(axis=0), self.cut)
 
 
 def classical_linear_constants(p_xy, q0_pmf, alpha: float) -> LinearConstants:
     """Classical analogue of the linear-rate stopping constants, valid for alpha > 1."""
     if not alpha > 1.0:
         raise ValueError(f"classical linear constants require alpha > 1, got {alpha}")
-    P = _as_array(p_xy)
-    q0_vec = _restrict_pmf(_as_array(q0_pmf).ravel(), P.sum(axis=1))
-    return _linear_start(P, q0_vec, alpha)[1]
+    P = _validated_joint(p_xy)
+    q0 = _restrict_pmf(_as_array(q0_pmf).ravel(), P.sum(axis=1), DEFAULT_CUT)
+    return _linear_start(_ClassicalRun(P, alpha, DEFAULT_CUT, q0))
 
 
 def _initial_q(P: np.ndarray, config: AmConfig, q0) -> np.ndarray:
@@ -287,30 +310,31 @@ def _initial_q(P: np.ndarray, config: AmConfig, q0) -> np.ndarray:
         if config.sigma0 is None:
             raise ValueError("init='explicit' requires sigma0 or an explicit PMF")
         raw = np.diag(config.sigma0.entries).real
-    return _restrict_pmf(raw, p_x)
+    return _restrict_pmf(raw, p_x, config.cut)
 
 
 def algorithm_classical(p_xy, config: AmConfig, q0=None) -> ConvergenceTrace:
-    """Certified classical run.
+    """Certified classical run: linear certificate for any alpha > 1, sublinear for (1/2, 1).
 
-    For alpha > 1 the run is native vector arithmetic with the classical
-    linear certificate (any alpha in (1, inf)); for alpha in (1/2, 1) the
-    PMF is embedded as a diagonal state and certified through the quantum
-    sublinear certificate, which coincides with the classical quantity on
-    such states.
+    On the diagonal embedding the vector stepper is the quantum run, so the
+    quantum certificates apply as they stand; the linear one extends from
+    (1, 2] to every alpha > 1 because the classical maps contract Hilbert's
+    metric by gamma = 1 - 1/alpha at every such order.
     """
     P = _validated_joint(p_xy)
     alpha = config.alpha
-    if 0.5 < alpha < 1.0:
-        sigma0 = HermitianOperator.diagonal(_initial_q(P, config, q0))
-        return algorithm2(cc_embed(P), replace(config, init="explicit", sigma0=sigma0))
-    if not alpha > 1.0:
+    if not (alpha > 1.0 or 0.5 < alpha < 1.0):
         raise ValueError(
             f"certified classical runs require alpha in (1/2, 1) or (1, inf), got {alpha}"
         )
     t_start = time.perf_counter()
-    run, consts = _linear_start(P, _initial_q(P, config, q0), alpha)
-    return _drive(run, _linear_certificate(run, consts), config, config.max_iter, t_start)
+    run = _ClassicalRun(P, alpha, config.cut, _initial_q(P, config, q0))
+    if alpha > 1.0:
+        certificate = _linear_certificate(run, _linear_start(run))
+    else:
+        certificate = _sublinear_certificate(_sublinear_start(run).c0)
+        run.a_to_b()
+    return _drive(run, certificate, config, config.max_iter, t_start)
 
 
 def run_uncertified_classical(
@@ -321,6 +345,6 @@ def run_uncertified_classical(
         raise ValueError("num_iter must be nonnegative")
     P = _validated_joint(p_xy)
     t_start = time.perf_counter()
-    run = _ClassicalRun(P, config.alpha, _initial_q(P, config, q0))
-    run.x_to_y()
+    run = _ClassicalRun(P, config.alpha, config.cut, _initial_q(P, config, q0))
+    run.a_to_b()
     return _drive(run, _no_certificate, config, num_iter, t_start)

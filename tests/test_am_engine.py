@@ -100,22 +100,34 @@ class TestHalfStepKernel:
         assert np.max(np.abs(run.sigma_op().entries - n_b_to_a(rho, tau, alpha).entries)) <= 1e-12
 
 
+def _count_decompositions(monkeypatch) -> Counter:
+    """Count ``np.linalg.eigh``/``eigvalsh`` calls by matrix shape."""
+    calls = Counter()
+    for name in ("eigh", "eigvalsh"):
+
+        def counted(a, *args, _real=getattr(np.linalg, name), **kwargs):
+            calls[np.shape(a)] += 1
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 class TestStateSpectrumCache:
     def test_state_decomposed_once_across_orders(self, rng, monkeypatch):
-        calls = Counter()
-        for name in ("eigh", "eigvalsh"):
-
-            def counted(a, *args, _real=getattr(np.linalg, name), **kwargs):
-                calls[np.shape(a)] += 1
-                return _real(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
+        calls = _count_decompositions(monkeypatch)
         rho = BipartiteState.from_matrix(random_density(9, rng).entries, 3, 3)
         algorithm2(rho, AmConfig(alpha=0.75, eps0=1e-4))
         algorithm1(rho, AmConfig(alpha=1.5))
         algorithm1(rho, AmConfig(alpha=2.0))
         assert calls[(9, 9)] == 1
         assert calls[(3, 3)] > 0
+
+    def test_classical_run_below_order_one_never_decomposes(self, rng, monkeypatch):
+        calls = _count_decompositions(monkeypatch)
+        trace = algorithm_classical(random_pmf((3, 3), rng), AmConfig(alpha=0.75, eps0=1e-4))
+        assert trace.terminated_by == "certificate"
+        assert sum(calls.values()) == 0
 
 
 class TestRestrictInitializer:
@@ -425,8 +437,8 @@ class TestStepDistance:
 
     def test_classical_identical_iterates_read_the_floor(self):
         p = np.outer([0.3, 0.7], [0.2, 0.5, 0.3])
-        run = _ClassicalRun(p, 4.0, p.sum(axis=1))
-        run.x_to_y()
+        run = _ClassicalRun(p, 4.0, DEFAULT_CUT, p.sum(axis=1))
+        run.a_to_b()
         run.full_step()
         assert np.array_equal(run.q_x, run.prev_q)
         assert run.step_distance() == step_floor(4.0, 5, 1.0) > 0.0
@@ -453,8 +465,8 @@ class TestStepDistance:
 
     def test_classical_support_change_reads_inf(self, rng):
         p = random_pmf((3, 3), rng)
-        run = _ClassicalRun(p, 2.0, p.sum(axis=1))
-        run.x_to_y()
+        run = _ClassicalRun(p, 2.0, DEFAULT_CUT, p.sum(axis=1))
+        run.a_to_b()
         run.full_step()
         assert math.isfinite(run.step_distance())
         run.prev_q = np.array([0.5, 0.5, 0.0])

@@ -2,9 +2,12 @@
 
 A rename or deletion in ``src`` would otherwise break only ``--trace 1``
 bench runs, and only when someone makes one.  The module imports nothing but
-the standard library at load time, so it is loaded here by path.
+the standard library at load time, so it is loaded here by path.  Besides the
+``TRACED`` strings, its probes import ``prmi`` names inside functions and read
+attributes off imported ``prmi`` modules; those are found in its syntax tree.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -70,3 +73,44 @@ def test_tracer_install_round_trips(layers, rng):
     after = _bindings(layers)
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
+
+
+def _prmi_reads(tree: ast.AST) -> set[str]:
+    """Dotted ``prmi`` names imported, or read as attributes of an imported ``prmi`` name."""
+    bound: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "prmi":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "prmi":
+                    bound[alias.asname or alias.name] = alias.name
+    reads = set(bound.values())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in bound:
+                reads.add(f"{bound[node.value.id]}.{node.attr}")
+    return reads
+
+
+def _resolves(dotted: str) -> bool:
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:split]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[split:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def test_untraced_prmi_reads_resolve():
+    reads = _prmi_reads(ast.parse(LAYERS_PATH.read_text()))
+    # The walk must see the reads that no TRACED string names.
+    assert {"prmi.classical_rmi.classical_linear_constants", "prmi._scan._HAVE_NUMBA"} <= reads
+    assert sorted(name for name in reads if not _resolves(name)) == []

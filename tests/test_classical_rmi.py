@@ -5,11 +5,14 @@ import pytest
 
 from conftest import random_pmf
 from prmi import (
+    DEFAULT_CUT,
     AmConfig,
     HermitianOperator,
     JointPmf,
     Pmf,
+    SupportCutoff,
     UnsupportedOrder,
+    algorithm2,
     algorithm_classical,
     birkhoff_kappa_classical,
     cc_embed,
@@ -22,8 +25,10 @@ from prmi import (
     n_y_to_x,
     run_uncertified,
     run_uncertified_classical,
+    sublinear_constants,
 )
-from prmi.am_engine import NotStrictlyPositive
+from prmi.am_engine import NotStrictlyPositive, _sublinear_start
+from prmi.classical_rmi import _ClassicalRun, classical_linear_constants
 from prmi.petz_divergence import DomainViolation, product_operator
 
 
@@ -104,6 +109,12 @@ class TestIterationMaps:
         with pytest.raises(DomainViolation):
             n_x_to_y(joint, np.array([1.0, 0.0]), 1.5)
 
+    def test_alpha_one_rejected_like_the_quantum_map(self):
+        joint = np.diag([0.5, 0.5])
+        for a_map in (n_x_to_y, n_y_to_x):
+            with pytest.raises(UnsupportedOrder):
+                a_map(joint, np.array([0.5, 0.5]), 1.0)
+
 
 class TestEmbed:
     def test_uniform(self):
@@ -159,10 +170,7 @@ class TestClassicalAlgorithm:
     def test_record_states(self, rng, alpha):
         p = random_pmf((2, 3), rng)
         cfg = AmConfig(alpha=alpha, eps0=1e-6, record_states=True)
-        runs = [run_uncertified_classical(p, cfg, 5)]
-        if alpha > 1:  # below order one the certified run is the embedded quantum run
-            runs.append(algorithm_classical(p, cfg))
-        for trace in runs:
+        for trace in [run_uncertified_classical(p, cfg, 5), algorithm_classical(p, cfg)]:
             assert len(trace.sigma_states) == len(trace.tau_states) == len(trace.records)
             for op in trace.sigma_states + trace.tau_states:
                 assert np.count_nonzero(op.entries - np.diag(np.diag(op.entries))) == 0
@@ -179,6 +187,50 @@ class TestClassicalAlgorithm:
                 algorithm_classical(weights, AmConfig(alpha=alpha))
             with pytest.raises(ValueError):
                 run_uncertified_classical(weights, AmConfig(alpha=alpha), 5)
+            with pytest.raises(ValueError):
+                n_x_to_y(weights, [0.5, 0.5], alpha)
+            with pytest.raises(ValueError):
+                n_y_to_x(weights, [0.5, 0.5], alpha)
+        with pytest.raises(ValueError):
+            classical_linear_constants(weights, [0.5, 0.5], 1.5)
+
+
+def _equivalence_pmfs():
+    rng = np.random.default_rng(7)
+    pmfs = [random_pmf(shape, rng) for shape in [(2, 2), (2, 3), (3, 2), (3, 3)]]
+    with_zero = random_pmf((3, 3), rng)
+    with_zero[1, 2] = 0.0
+    return pmfs + [with_zero / with_zero.sum()]
+
+
+class TestEmbeddingEquivalence:
+    """The vector stepper is the quantum stepper on the diagonal embedding."""
+
+    @pytest.mark.parametrize("alpha", [0.6, 0.75, 0.9])
+    def test_sublinear_run_matches_embedded_quantum_run(self, alpha):
+        for p in _equivalence_pmfs():
+            q0 = HermitianOperator.diagonal(p.sum(axis=1))
+            classical = algorithm_classical(p, AmConfig(alpha=alpha, eps0=1e-4))
+            quantum = algorithm2(
+                cc_embed(p), AmConfig(alpha=alpha, eps0=1e-4, init="explicit", sigma0=q0)
+            )
+            assert classical.terminated_by == quantum.terminated_by == "certificate"
+            assert classical.iterations == quantum.iterations
+            assert np.max(np.abs(classical.x_values - quantum.x_values)) <= 1e-12
+            c0 = _sublinear_start(_ClassicalRun(p, alpha, DEFAULT_CUT, p.sum(axis=1))).c0
+            assert c0 == pytest.approx(sublinear_constants(cc_embed(p), q0, alpha).c0, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.75, 1.5])
+    def test_cutoff_matches_embedded_quantum_run(self, alpha):
+        # The 1e-4 entry lies below the 1e-3 cutoff: the classical run must drop it
+        # exactly where the quantum run drops the eigenvalue.
+        rng = np.random.default_rng(11)
+        skewed = rng.random((3, 3)) ** 4
+        for p in [np.array([[0.3, 1e-4], [0.2, 0.4999]]), skewed / skewed.sum()]:
+            cfg = AmConfig(alpha=alpha, cut=SupportCutoff(1e-3))
+            classical = run_uncertified_classical(p, cfg, 30)
+            quantum = run_uncertified(cc_embed(p), cfg, 30)
+            assert np.max(np.abs(classical.x_values - quantum.x_values)) <= 1e-12
 
 
 class TestContractionClassical:

@@ -251,3 +251,16 @@ class TestMain:
         assert code == EXIT_OK
         monkeypatch.setenv("PRMI_SUPPORT_TOL", "banana")
         assert main([str(product_file), "--alpha", "1.5", "--trace-out", str(out)]) == EXIT_INVALID
+
+    def test_support_tol_env_reaches_classical_runs(self, tmp_path, monkeypatch, capsys):
+        # The 1e-4 entry is inside the default support and below a 1e-3 cutoff.
+        pmf = tmp_path / "pmf.csv"
+        pmf.write_text("0.3,1e-4\n0.2,0.4999\n")
+        argv = [str(pmf), "--mode", "classical", "--alpha", "1.5", "--eps", "1e-10"]
+        argv += ["--trace-out", str(tmp_path / "trace.json")]
+        final_x = {}
+        for tol in ("1e-12", "1e-3"):
+            monkeypatch.setenv("PRMI_SUPPORT_TOL", tol)
+            assert main(argv) == EXIT_OK
+            final_x[tol] = float(capsys.readouterr().out.split("final_x=")[1].split()[0])
+        assert final_x["1e-12"] - final_x["1e-3"] > 1e-6
