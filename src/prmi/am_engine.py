@@ -59,6 +59,18 @@ which read them off a stepper of either kind through ``sigma0_min``,
 half-step's eigendecomposition goes through ``operator_core.support_eigh``,
 the one cutoff eigendecomposition; the classical stepper applies the same
 cutoff rule, ``support_mask``, to vectors.
+
+Set-up.  What a solve needs from the state alone is decomposed once per
+``BipartiteState`` and cached on it: the spectrum of rho, from which each
+order builds rho^alpha, and the A marginal with its spectrum.  Every order
+of a sweep and every cutoff starts from those arrays.  ``_AmRun`` always
+starts from the eigenpairs of the restricted initializer (``_initial_sigma``).
+For the marginal initializer they are (w_s/sum w_s, V_s), the support part of
+the cached marginal spectrum at the run's cutoff, so it costs no
+decomposition; a uniform or explicit initializer is compressed to that
+support by projector products (``restrict_initializer``) and factored once.
+Per order there remains the rho^alpha contraction matrix and the
+certificate's constants.
 """
 
 from __future__ import annotations
@@ -78,6 +90,7 @@ from .operator_core import (
     random_density,
     support_eigh,
     support_mask,
+    support_pairs,
 )
 from .petz_divergence import (
     DomainViolation,
@@ -221,7 +234,11 @@ def restrict_initializer(
     The iteration map is invariant under this restriction, so any initializer
     with nonzero overlap can be replaced by its compressed version.
     """
-    _, vs = support_eigh(rho_a.entries, cut)
+    return _compress(sigma0, support_eigh(rho_a.entries, cut)[1], cut)
+
+
+def _compress(sigma0: HermitianOperator, vs: np.ndarray, cut: SupportCutoff) -> HermitianOperator:
+    """sigma0 compressed to the span of the orthonormal columns ``vs``, renormalized."""
     proj = vs @ vs.conj().T
     compressed = proj @ sigma0.entries @ proj
     tr = float(np.trace(compressed).real)
@@ -232,12 +249,21 @@ def restrict_initializer(
     return HermitianOperator._wrap(compressed / tr)
 
 
+def _factor(mat: np.ndarray, cut: SupportCutoff) -> tuple[np.ndarray, np.ndarray]:
+    """Support eigenpairs of an iterate's matrix; the zero operator is a collapse."""
+    vals, vecs = support_eigh(mat, cut)
+    if not vals.size:
+        raise DomainViolation("iterate collapsed to the zero operator")
+    return vals, vecs
+
+
 class _AmRun:
     """Mutable state of one run; caches rho^alpha as one gemv matrix and the eigenfactors.
 
     States are carried as (support eigenvalues, eigenvector block) pairs so
     each half-step costs one gemv and one small eigendecomposition; the
     objective value comes from the closed form for the partial minimum.
+    ``sigma0`` is the restricted initializer in that form (``_initial_sigma``).
     """
 
     def __init__(
@@ -245,7 +271,7 @@ class _AmRun:
         rho_ab: BipartiteState,
         alpha: float,
         cut: SupportCutoff,
-        sigma0: HermitianOperator,
+        sigma0: tuple[np.ndarray, np.ndarray],
     ) -> None:
         self.alpha = alpha
         self.cut = cut
@@ -254,19 +280,13 @@ class _AmRun:
         r4 = _rho_alpha_tensor(rho_ab, alpha, cut)
         # m[(a, c), (b, d)] = r4[a, b, c, d], so each half-step is a gemv from one side.
         self.m = r4.transpose(0, 2, 1, 3).reshape(self.d_a**2, self.d_b**2)
-        self.sigma_vals, self.sigma_vecs = self._factor(sigma0.entries)
+        self.sigma_vals, self.sigma_vecs = sigma0
         self.sigma0_min = float(self.sigma_vals[0])
         self.prev_sigma: tuple[np.ndarray, np.ndarray] | None = None
         self.tau_vals: np.ndarray | None = None
         self.tau_vecs: np.ndarray | None = None
         self.x = math.nan
         self.q = math.nan
-
-    def _factor(self, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        vals, vecs = support_eigh(mat, self.cut)
-        if not vals.size:
-            raise DomainViolation("iterate collapsed to the zero operator")
-        return vals, vecs
 
     @staticmethod
     def _power(vals: np.ndarray, vecs: np.ndarray, p: float) -> np.ndarray:
@@ -276,7 +296,7 @@ class _AmRun:
         """Update tau from sigma; refresh the objective via the closed form."""
         s = self._power(self.sigma_vals, self.sigma_vecs, 1.0 - self.alpha)
         w_mat = (s.T.ravel() @ self.m).reshape(self.d_b, self.d_b)
-        vals, vecs = self._factor(w_mat)
+        vals, vecs = _factor(w_mat, self.cut)
         t = vals ** (1.0 / self.alpha)
         ssum = float(np.sum(t))
         self.tau_vals = t / ssum
@@ -288,7 +308,7 @@ class _AmRun:
         """Update sigma from tau."""
         t = self._power(self.tau_vals, self.tau_vecs, 1.0 - self.alpha)
         w_mat = (self.m @ t.T.ravel()).reshape(self.d_a, self.d_a)
-        vals, vecs = self._factor(w_mat)
+        vals, vecs = _factor(w_mat, self.cut)
         s = vals ** (1.0 / self.alpha)
         self.sigma_vals = s / float(np.sum(s))
         self.sigma_vecs = vecs
@@ -321,24 +341,43 @@ class _AmRun:
     def lambda_a(self) -> float:
         """Smallest supported eigenvalue of the A marginal of rho^alpha."""
         marginal = (self.m @ np.eye(self.d_b).ravel()).reshape(self.d_a, self.d_a)
-        return float(self._factor(marginal)[0][0])
+        return float(_factor(marginal, self.cut)[0][0])
 
     def lambda_b(self) -> float:
         """Smallest supported eigenvalue of the B marginal of rho^alpha."""
         marginal = (np.eye(self.d_a).ravel() @ self.m).reshape(self.d_b, self.d_b)
-        return float(self._factor(marginal)[0][0])
+        return float(_factor(marginal, self.cut)[0][0])
 
 
-def _initial_sigma(rho_ab: BipartiteState, config: AmConfig) -> HermitianOperator:
+def _restricted_pairs(
+    rho_ab: BipartiteState, sigma0: HermitianOperator, cut: SupportCutoff
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of ``restrict_initializer(sigma0, rho_A, cut)``, factored once."""
+    vs = support_pairs(*rho_ab.marginal_spectrum, cut)[1]
+    return _factor(_compress(sigma0, vs, cut).entries, cut)
+
+
+def _initial_sigma(rho_ab: BipartiteState, config: AmConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the restricted initializer, the form ``_AmRun`` starts from.
+
+    The A marginal restricted to its own support is (w_s/sum w_s, V_s) of
+    its cached spectrum, so that initializer costs no decomposition.
+    """
     if config.init == "marginal":
-        raw = rho_ab.marginal_a()
-    elif config.init == "uniform":
+        w, v = support_pairs(*rho_ab.marginal_spectrum, config.cut)
+        tr = float(w.sum())
+        if tr <= config.cut.rel_tol:
+            raise OrthogonalInitializer(
+                f"initializer overlap {tr:.3e} with the A-marginal support is below the cutoff"
+            )
+        return w / tr, v
+    if config.init == "uniform":
         raw = HermitianOperator._wrap(np.eye(rho_ab.d_a) / rho_ab.d_a)
     else:
         raw = config.sigma0
         if raw.dim != rho_ab.d_a:
             raise ValueError(f"sigma0 has dim {raw.dim}, expected {rho_ab.d_a}")
-    return restrict_initializer(raw, rho_ab.marginal_a(), config.cut)
+    return _restricted_pairs(rho_ab, raw, config.cut)
 
 
 def _linear_start(run) -> LinearConstants:
@@ -386,8 +425,7 @@ def linear_constants(
     """
     if not 1.0 < alpha <= 2.0:
         raise ValueError(f"linear-rate constants require alpha in (1, 2], got {alpha}")
-    sig = restrict_initializer(sigma0, rho_ab.marginal_a(), cut)
-    return _linear_start(_AmRun(rho_ab, alpha, cut, sig))
+    return _linear_start(_AmRun(rho_ab, alpha, cut, _restricted_pairs(rho_ab, sigma0, cut)))
 
 
 def sublinear_constants(
@@ -399,8 +437,7 @@ def sublinear_constants(
     """Constant c0 in the a-posteriori bound c0 * sqrt(x_{n-1} - x_n)."""
     if not 0.5 < alpha < 1.0:
         raise ValueError(f"sublinear constants require alpha in (1/2, 1), got {alpha}")
-    sig = restrict_initializer(sigma0, rho_ab.marginal_a(), cut)
-    return _sublinear_start(_AmRun(rho_ab, alpha, cut, sig))
+    return _sublinear_start(_AmRun(rho_ab, alpha, cut, _restricted_pairs(rho_ab, sigma0, cut)))
 
 
 def step_floor(alpha: float, dims: int, kappa: float) -> float:
@@ -560,7 +597,7 @@ def spectrum_floors(
     tau); for alpha in (1/2, 1) they depend on the initializer spectrum and
     apply to every iterate.
     """
-    run = _AmRun(rho_ab, alpha, cut, restrict_initializer(sigma0, rho_ab.marginal_a(), cut))
+    run = _AmRun(rho_ab, alpha, cut, _restricted_pairs(rho_ab, sigma0, cut))
     if alpha > 1.0:
         lin = _linear_start(run)
         return lin.c_a, (run.lambda_b() / lin.q0) ** (1.0 / alpha)
@@ -590,13 +627,13 @@ def contraction_probe(
     if not 1.0 < alpha <= 2.0:
         raise ValueError(f"contraction probe requires alpha in (1, 2], got {alpha}")
     rng = np.random.default_rng(0) if rng is None else rng
-    rho_a = rho_ab.marginal_a()
+    vs = support_pairs(*rho_ab.marginal_spectrum, cut)[1]
     gamma = 1.0 - 1.0 / alpha
     max_ratio = 0.0
     done = 0
     while done < trials:
-        s1 = restrict_initializer(random_density(rho_ab.d_a, rng), rho_a, cut)
-        s2 = restrict_initializer(random_density(rho_ab.d_a, rng), rho_a, cut)
+        s1 = _compress(random_density(rho_ab.d_a, rng), vs, cut)
+        s2 = _compress(random_density(rho_ab.d_a, rng), vs, cut)
         base = d_h(s1, s2, cut)
         if not math.isfinite(base) or base < 1e-12:
             continue

@@ -8,9 +8,11 @@ and the linear-rate certificate extends to every alpha > 1.
 One vector stepper, ``_ClassicalRun``, implements the classical half-step for
 every entry point: the maps ``n_x_to_y``/``n_y_to_x``, ``algorithm_classical``
 at both certificates, and ``run_uncertified_classical``.  It is the quantum
-stepper on the diagonal state ``cc_embed(P)``, with the support cutoff applied
-at the same places, so the quantum certificates hold for it as they stand;
-their constants come from the shared ``am_engine`` start helpers.
+stepper on the diagonal state ``cc_embed(P)``, so the quantum certificates
+hold for it as they stand; their constants come from the shared
+``am_engine`` start helpers.  The support cutoff acts at set-up, on P and on
+the initial q, and each half-step keeps the supports of the marginals fixed
+there, which is what the iteration preserves in exact arithmetic.
 ``cc_embed`` stays as the reference the tests compare against.
 """
 
@@ -117,10 +119,6 @@ def _pow_on(v: np.ndarray, mask: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def _smallest_supported(v: np.ndarray, cut: SupportCutoff) -> float:
-    return float(v[support_mask(v, cut)].min())
-
-
 def d_alpha_classical(p, q, alpha: float) -> float:
     """Renyi divergence of order alpha between equally shaped weight arrays.
 
@@ -225,26 +223,31 @@ def _restrict_pmf(q: np.ndarray, p_marg: np.ndarray, cut: SupportCutoff) -> np.n
 class _ClassicalRun:
     """``am_engine._AmRun`` on a diagonal state, with vectors for eigenpairs.
 
-    The cutoff acts where it acts in the quantum run: once on P before the
-    power alpha and on the initial q (the support eigenvalues of rho and of
-    sigma0), and on each half-step's weights w before the power 1/alpha.  q
-    and r are then powered on their exact nonzero entries.
+    The cutoff acts once, at set-up: on P before the power alpha and on the
+    initial q (the support eigenvalues of rho and of sigma0).  Each
+    half-step's weights w are then powered 1/alpha on the support of the
+    marginal they live on, fixed at set-up as the nonzero row and column
+    sums of P^alpha, and q and r on their exact nonzero entries.  A relative
+    cutoff on w itself would drop supported points once alpha is large,
+    since the range of w grows like the range of P to the power alpha.
     """
 
     def __init__(self, P: np.ndarray, alpha: float, cut: SupportCutoff, q0: np.ndarray) -> None:
         self.alpha = alpha
         self.cut = cut
         self.wa = _pow_on(P, support_mask(P, cut), alpha)
+        self.supp_x = self.wa.sum(axis=1) > 0
+        self.supp_y = self.wa.sum(axis=0) > 0
         self.q_x = np.where(support_mask(q0, cut), q0, 0.0)
-        self.sigma0_min = _smallest_supported(self.q_x, cut)
+        self.sigma0_min = float(self.q_x[self.q_x > 0].min())
         self.prev_q: np.ndarray | None = None
         self.r_y: np.ndarray | None = None
         self.x = math.nan
         self.q = math.nan
 
-    def _root(self, w: np.ndarray) -> tuple[np.ndarray, float]:
-        """w^(1/alpha) on the support of w, normalized, and its mass before normalizing."""
-        t = _pow_on(w, support_mask(w, self.cut), 1.0 / self.alpha)
+    def _root(self, w: np.ndarray, supp: np.ndarray) -> tuple[np.ndarray, float]:
+        """w^(1/alpha) on the marginal support ``supp``, normalized, and its prior mass."""
+        t = _pow_on(w, supp, 1.0 / self.alpha)
         s = float(t.sum())
         if s <= 0:
             raise DomainViolation("iterate collapsed to zero")
@@ -252,13 +255,15 @@ class _ClassicalRun:
 
     def a_to_b(self) -> None:
         """Update r from q; refresh the objective via the closed form."""
-        self.r_y, s = self._root(_pow_on(self.q_x, self.q_x > 0, 1.0 - self.alpha) @ self.wa)
+        w = _pow_on(self.q_x, self.q_x > 0, 1.0 - self.alpha) @ self.wa
+        self.r_y, s = self._root(w, self.supp_y)
         self.x = (self.alpha / (self.alpha - 1.0)) * math.log(s)
         self.q = s**self.alpha
 
     def b_to_a(self) -> None:
         """Update q from r."""
-        self.q_x = self._root(self.wa @ _pow_on(self.r_y, self.r_y > 0, 1.0 - self.alpha))[0]
+        w = self.wa @ _pow_on(self.r_y, self.r_y > 0, 1.0 - self.alpha)
+        self.q_x = self._root(w, self.supp_x)[0]
 
     def full_step(self) -> None:
         self.prev_q = self.q_x
@@ -281,12 +286,12 @@ class _ClassicalRun:
         return HermitianOperator.diagonal(self.r_y)
 
     def lambda_a(self) -> float:
-        """Smallest supported row sum of P^alpha (the A marginal of rho^alpha)."""
-        return _smallest_supported(self.wa.sum(axis=1), self.cut)
+        """Smallest nonzero row sum of P^alpha (the A marginal of rho^alpha)."""
+        return float(self.wa.sum(axis=1)[self.supp_x].min())
 
     def lambda_b(self) -> float:
-        """Smallest supported column sum of P^alpha (the B marginal of rho^alpha)."""
-        return _smallest_supported(self.wa.sum(axis=0), self.cut)
+        """Smallest nonzero column sum of P^alpha (the B marginal of rho^alpha)."""
+        return float(self.wa.sum(axis=0)[self.supp_y].min())
 
 
 def classical_linear_constants(p_xy, q0_pmf, alpha: float) -> LinearConstants:

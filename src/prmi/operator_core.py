@@ -5,7 +5,8 @@ built on eigendecompositions of small dense Hermitian matrices.  Powers of
 positive semidefinite operators are always taken on the support: eigenvalues
 below a relative cutoff count as kernel and map to zero.  That rule lives in
 ``support_mask``, and ``support_eigh`` is the one eigendecomposition that
-applies it.
+applies it (through ``support_pairs``, which also serves eigenpairs a
+caller already holds).
 """
 
 from __future__ import annotations
@@ -138,20 +139,32 @@ def support_mask(values: np.ndarray, cut: SupportCutoff, top: float | None = Non
     return values > cut.rel_tol * max(top, 0.0)
 
 
-def support_eigh(mat: np.ndarray, cut: SupportCutoff) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenpairs of a PSD matrix on its support at the cutoff.
+def support_pairs(
+    w: np.ndarray, v: np.ndarray, cut: SupportCutoff
+) -> tuple[np.ndarray, np.ndarray]:
+    """The support part of ascending eigenpairs ``(w, v)`` of a PSD matrix.
 
-    ``eigh`` reads one triangle, so ``mat`` need not be re-symmetrized.  A
-    clearly negative eigenvalue (relative to the spectral radius) is rejected
-    since every caller requires a PSD argument.  The zero matrix gives empty
-    arrays.
+    A clearly negative eigenvalue (relative to the spectral radius) is
+    rejected since every caller requires a PSD argument.  When every
+    eigenvalue is in the support the arrays are returned as given, not
+    copied; the zero matrix gives empty arrays.
     """
-    w, v = np.linalg.eigh(mat)
     lo, hi = float(w[0]), float(w[-1])
     if lo < -1e-8 * max(hi, -lo):
         raise InvalidOperator(f"operator is not PSD: min eigenvalue {lo:.3e}")
     mask = support_mask(w, cut, hi)
+    if mask[0]:
+        return w, v
     return w[mask], v[:, mask]
+
+
+def support_eigh(mat: np.ndarray, cut: SupportCutoff) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenpairs of a PSD matrix on its support at the cutoff.
+
+    ``eigh`` reads one triangle, so ``mat`` need not be re-symmetrized; the
+    guard and the cutoff are :func:`support_pairs`.
+    """
+    return support_pairs(*np.linalg.eigh(mat), cut)
 
 
 def power_on_support(
@@ -245,7 +258,14 @@ def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) 
 
 @dataclass(frozen=True)
 class BipartiteState:
-    """Density operator on A⊗B with recorded subsystem dimensions."""
+    """Density operator on A⊗B with recorded subsystem dimensions.
+
+    Everything a solve needs from the state alone is computed on first use
+    and kept on the instance, read-only: the spectrum of ``op``, the two
+    marginals and the spectrum of the A marginal.  Every order of a sweep
+    and every cutoff starts from the same arrays; two states with equal
+    entries share nothing.
+    """
 
     d_a: int
     d_b: int
@@ -282,8 +302,23 @@ class BipartiteState:
         w.flags.writeable = v.flags.writeable = False
         return w, v
 
-    def marginal_a(self) -> HermitianOperator:
+    @cached_property
+    def _marginal_a(self) -> HermitianOperator:
         return partial_trace(self.op, self.d_a, self.d_b, "B")
 
-    def marginal_b(self) -> HermitianOperator:
+    @cached_property
+    def _marginal_b(self) -> HermitianOperator:
         return partial_trace(self.op, self.d_a, self.d_b, "A")
+
+    def marginal_a(self) -> HermitianOperator:
+        return self._marginal_a
+
+    def marginal_b(self) -> HermitianOperator:
+        return self._marginal_b
+
+    @cached_property
+    def marginal_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ascending ``(w, v)`` of the A marginal, the start of every solve."""
+        w, v = np.linalg.eigh(self.marginal_a().entries)
+        w.flags.writeable = v.flags.writeable = False
+        return w, v

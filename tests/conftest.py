@@ -26,6 +26,12 @@ def maximally_correlated(d: int) -> BipartiteState:
     return BipartiteState.from_matrix(mat, d, d)
 
 
+def near_singular(d: int, eta: float, rng: np.random.Generator) -> BipartiteState:
+    """Maximally correlated state plus eta times a Ginibre density matrix."""
+    mat = maximally_correlated(d).op.entries + eta * random_density(d * d, rng).entries
+    return BipartiteState.from_matrix(mat / np.trace(mat).real, d, d)
+
+
 def random_pmf(shape, rng: np.random.Generator, full_support: bool = True) -> np.ndarray:
     p = rng.random(shape)
     if full_support:

@@ -8,6 +8,7 @@ from conftest import (
     a_priori_eps,
     a_priori_iterations,
     maximally_correlated,
+    near_singular,
     random_pmf,
     random_product_state,
     random_state,
@@ -20,6 +21,7 @@ from prmi import (
     HermitianOperator,
     MonotonicityViolation,
     OrthogonalInitializer,
+    SupportCutoff,
     algorithm1,
     algorithm2,
     algorithm_classical,
@@ -37,14 +39,17 @@ from prmi import (
     spectrum_floors,
     sublinear_constants,
 )
+from prmi import am_engine
 from prmi.am_engine import (
     NotStrictlyPositive,
     _AmRun,
+    _initial_sigma,
     _sublinear_certificate,
     projective_diameter_from_vectors,
     step_floor,
 )
 from prmi.classical_rmi import _ClassicalRun, classical_linear_constants
+from prmi.operator_core import support_eigh
 
 
 def uniform_op(d):
@@ -92,7 +97,7 @@ class TestHalfStepKernel:
         # d_a != d_b and rank-deficient marginals: a swapped index order cannot hide.
         rho = BipartiteState.from_operator(random_density(d_a * d_b, rng, rank=2), d_a, d_b)
         sigma0 = restrict_initializer(random_density(d_a, rng), rho.marginal_a())
-        run = _AmRun(rho, alpha, DEFAULT_CUT, sigma0)
+        run = _AmRun(rho, alpha, DEFAULT_CUT, support_eigh(sigma0.entries, DEFAULT_CUT))
         run.a_to_b()
         tau = run.tau_op()
         assert np.max(np.abs(tau.entries - n_a_to_b(rho, sigma0, alpha).entries)) <= 1e-12
@@ -128,6 +133,158 @@ class TestStateSpectrumCache:
         trace = algorithm_classical(random_pmf((3, 3), rng), AmConfig(alpha=0.75, eps0=1e-4))
         assert trace.terminated_by == "certificate"
         assert sum(calls.values()) == 0
+
+
+def _setup_before_caching(rho_ab, config):
+    """In-test copy of the marginal initializer's set-up before it was cached.
+
+    The A marginal is compressed to its own support by projector products and
+    renormalized (``restrict_initializer``), and the result is decomposed
+    again at the cutoff (``support_eigh``).
+    """
+    rel_tol = config.cut.rel_tol
+    rho_a = rho_ab.marginal_a().entries
+    w, v = np.linalg.eigh(rho_a)
+    vs = v[:, w > rel_tol * max(w[-1], 0.0)]
+    proj = vs @ vs.conj().T
+    compressed = proj @ rho_a @ proj
+    compressed = compressed / np.trace(compressed).real
+    w, v = np.linalg.eigh((compressed + compressed.conj().T) / 2.0)
+    keep = w > rel_tol * max(w[-1], 0.0)
+    return w[keep], v[:, keep]
+
+
+def _skewed_marginal(rng):
+    """Full-rank 2x3 state whose A marginal has eigenvalues about 1e-5 apart."""
+    k = np.kron(np.diag([1.0, 3e-3]), np.eye(3))
+    mat = k @ random_density(6, rng).entries @ k
+    return BipartiteState.from_matrix(mat / np.trace(mat).real, 2, 3)
+
+
+def _setup_states():
+    rng = np.random.default_rng(31)
+    return {
+        "skewed 2x3": _skewed_marginal(rng),
+        "full 2x2": random_state(2, 2, rng),
+        "full 2x3": random_state(2, 3, rng),
+        "full 3x3": random_state(3, 3, rng),
+        "pure 3x2": BipartiteState.from_operator(random_density(6, rng, rank=1), 3, 2),
+        "rank3 3x3": BipartiteState.from_operator(random_density(9, rng, rank=3), 3, 3),
+        "mc+1e-6 2x2": near_singular(2, 1e-6, rng),
+        "mc+1e-10 3x3": near_singular(3, 1e-10, rng),
+    }
+
+
+class TestSetupOnce:
+    """Solves start from the cached marginal spectrum, as the old set-up would."""
+
+    RUNS = {
+        "algorithm1 1.5": lambda rho, cut: algorithm1(rho, AmConfig(alpha=1.5, eps0=1e-8, cut=cut)),
+        "algorithm1 2.0": lambda rho, cut: algorithm1(rho, AmConfig(alpha=2.0, eps0=1e-8, cut=cut)),
+        "algorithm2 0.75": lambda rho, cut: algorithm2(
+            rho, AmConfig(alpha=0.75, eps0=1e-4, cut=cut)
+        ),
+        "uncertified 0.6": lambda rho, cut: run_uncertified(rho, AmConfig(alpha=0.6, cut=cut), 25),
+        "uncertified 3.0": lambda rho, cut: run_uncertified(rho, AmConfig(alpha=3.0, cut=cut), 25),
+    }
+
+    @pytest.mark.parametrize("cut", [DEFAULT_CUT, SupportCutoff(1e-3)], ids=["default", "1e-3"])
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_agrees_with_restrict_then_decompose(self, run, cut, monkeypatch):
+        solve = self.RUNS[run]
+        for name, rho in _setup_states().items():
+            cached = solve(rho, cut)
+            with monkeypatch.context() as m:
+                m.setattr(am_engine, "_initial_sigma", _setup_before_caching)
+                before = solve(rho, cut)
+            assert cached.terminated_by == before.terminated_by, name
+            assert cached.iterations == before.iterations, name
+            assert np.max(np.abs(cached.x_values - before.x_values)) <= 1e-10, name
+
+    def test_explicit_and_uniform_initializers_unchanged(self, rng):
+        rho = BipartiteState.from_operator(random_density(6, rng, rank=1), 3, 2)
+        sigma0 = random_density(3, rng)
+        for init, raw in [("uniform", uniform_op(3)), ("explicit", sigma0)]:
+            config = AmConfig(alpha=1.5, init=init, sigma0=sigma0)
+            vals, vecs = _initial_sigma(rho, config)
+            restricted = restrict_initializer(raw, rho.marginal_a(), config.cut)
+            expect_vals, expect_vecs = support_eigh(restricted.entries, config.cut)
+            assert np.array_equal(vals, expect_vals)
+            assert np.array_equal(vecs, expect_vecs)
+
+    def test_marginal_initializer_reuses_the_cached_vectors(self, rng):
+        rho = random_state(2, 3, rng)
+        vals, vecs = _initial_sigma(rho, AmConfig(alpha=1.5))
+        assert vecs is rho.marginal_spectrum[1]
+        assert vals.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+class TestSetupCacheScope:
+    """The set-up cache lives on the state instance and nowhere else."""
+
+    def test_equal_states_share_nothing(self, rng):
+        entries = random_density(6, rng).entries
+        first = BipartiteState.from_matrix(entries, 2, 3)
+        algorithm1(first, AmConfig(alpha=1.5))
+        second = BipartiteState.from_matrix(entries, 2, 3)
+        # Only the validation spectrum is computed before a solve asks for more.
+        assert not {"marginal_spectrum", "_marginal_a", "_marginal_b"} & set(vars(second))
+        algorithm1(second, AmConfig(alpha=1.5))
+        pairs = [
+            (first.spectrum[0], second.spectrum[0]),
+            (first.spectrum[1], second.spectrum[1]),
+            (first.marginal_spectrum[0], second.marginal_spectrum[0]),
+            (first.marginal_spectrum[1], second.marginal_spectrum[1]),
+            (first.marginal_a().entries, second.marginal_a().entries),
+            (first.marginal_b().entries, second.marginal_b().entries),
+        ]
+        for a, b in pairs:
+            assert np.array_equal(a, b)
+            assert not np.shares_memory(a, b)
+
+    def test_marginal_decomposed_once_per_state(self, rng, monkeypatch):
+        entries = random_density(6, rng).entries
+        marginal = BipartiteState.from_matrix(entries, 2, 3).marginal_a().entries
+        hits = []
+        real_eigh = np.linalg.eigh
+
+        def eigh(a, *args, **kwargs):
+            hits.append(np.array_equal(a, marginal))
+            return real_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        for _ in range(2):
+            state = BipartiteState.from_matrix(entries, 2, 3)
+            for cut in (DEFAULT_CUT, SupportCutoff(1e-3)):
+                algorithm2(state, AmConfig(alpha=0.75, eps0=1e-4, cut=cut))
+                algorithm1(state, AmConfig(alpha=1.5, cut=cut))
+                run_uncertified(state, AmConfig(alpha=3.0, cut=cut), 3)
+        assert sum(hits) == 2
+
+    def test_cached_arrays_read_only(self, rng):
+        state = random_state(2, 3, rng)
+        algorithm1(state, AmConfig(alpha=1.5))
+        arrays = [*state.spectrum, *state.marginal_spectrum]
+        arrays += [state.marginal_a().entries, state.marginal_b().entries]
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_one_state_at_two_cuts_matches_fresh_states(self, rng):
+        # The A marginal's small eigenvalue (about 1e-5 of the top) lies inside
+        # the default support and outside the 1e-3 one, so the cut decides the
+        # problem; the cache must not carry one cut's support into the other.
+        entries = _skewed_marginal(rng).op.entries
+        shared = BipartiteState.from_matrix(entries, 2, 3)
+        for cut in (SupportCutoff(1e-3), DEFAULT_CUT, SupportCutoff(1e-3)):
+            for solve in (algorithm1, algorithm2):
+                config = AmConfig(alpha=1.5 if solve is algorithm1 else 0.75, eps0=1e-5, cut=cut)
+                reused = solve(shared, config)
+                fresh = solve(BipartiteState.from_matrix(entries, 2, 3), config)
+                assert np.array_equal(reused.x_values, fresh.x_values)
+                assert reused.terminated_by == fresh.terminated_by
+                assert np.array_equal(reused.final_sigma_a.entries, fresh.final_sigma_a.entries)
 
 
 class TestRestrictInitializer:
@@ -407,7 +564,7 @@ class TestProbes:
 
 
 def _started_run(rho, alpha):
-    run = _AmRun(rho, alpha, DEFAULT_CUT, restrict_initializer(rho.marginal_a(), rho.marginal_a()))
+    run = _AmRun(rho, alpha, DEFAULT_CUT, _initial_sigma(rho, AmConfig(alpha=alpha)))
     run.a_to_b()
     run.full_step()
     return run

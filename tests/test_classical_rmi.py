@@ -194,6 +194,27 @@ class TestClassicalAlgorithm:
         with pytest.raises(ValueError):
             classical_linear_constants(weights, [0.5, 0.5], 1.5)
 
+    @pytest.mark.parametrize("alpha", [6.0, 8.0])
+    def test_small_marginal_point_survives_large_order(self, alpha):
+        # The row sums of P^alpha span more than 1e12 here: a relative cutoff on
+        # the half-step weights would set q_x[0] = 0 inside supp p_x and return
+        # the value of a smaller problem, +inf at the returned pair.
+        p = np.array([[0.002, 0.001, 0.002], [0.05, 0.3, 0.1], [0.2, 0.1, 0.245]])
+        trace = algorithm_classical(p, AmConfig(alpha=alpha, eps0=1e-6))
+        assert trace.terminated_by == "certificate"
+        q = np.diag(trace.final_sigma_a.entries).real
+        r = np.diag(trace.final_tau_b.entries).real
+        assert abs(d_alpha_classical(p, np.outer(q, r), alpha) - trace.final_x) <= 1e-9
+        gap = grid_min_classical(p, alpha, 1e-3).min_value - trace.final_x
+        assert 0.0 <= gap <= 1e-4
+
+    def test_constants_read_the_marginal_support(self):
+        # lambda_A is the smallest nonzero row sum of P^alpha, 1.29e-16 at
+        # alpha 6, not the smallest one above a relative cutoff.
+        p = np.array([[0.002, 0.001, 0.002], [0.05, 0.3, 0.1], [0.2, 0.1, 0.245]])
+        consts = classical_linear_constants(p, p.sum(axis=1), 6.0)
+        assert consts.lambda_a == pytest.approx(float(np.sum(p[0] ** 6.0)), rel=1e-12)
+
 
 def _equivalence_pmfs():
     rng = np.random.default_rng(7)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import a_priori_eps, a_priori_iterations, maximally_correlated
+from conftest import a_priori_eps, a_priori_iterations, near_singular
 from prmi import (
     AmConfig,
     BipartiteState,
@@ -38,12 +38,6 @@ PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=N
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 eps_exponents = st.integers(min_value=3, max_value=12)
 quantum_alphas = st.floats(min_value=1.01, max_value=2.0)
-
-
-def near_singular(d: int, eta: float, rng: np.random.Generator) -> BipartiteState:
-    """Maximally correlated state plus eta times a Ginibre density matrix."""
-    mat = maximally_correlated(d).op.entries + eta * random_density(d * d, rng).entries
-    return BipartiteState.from_matrix(mat / np.trace(mat).real, d, d)
 
 
 def rank_deficient(d_a: int, d_b: int, rank: int, rng: np.random.Generator) -> BipartiteState:
@@ -114,6 +108,25 @@ def test_pmfs_3x3(seed, alpha, k):
     q, r = rng.random(3) + 1e-3, rng.random(3) + 1e-3
     assert x - eps0 <= d_alpha_classical(p, np.outer(q / q.sum(), r / r.sum()), alpha)
     check_schedule(trace, alpha, classical_linear_constants(p, p.sum(axis=1), alpha), eps0)
+
+
+def spread_pmf3(rng: np.random.Generator) -> np.ndarray:
+    """3x3 PMF whose entries are log-uniform over three decades."""
+    p = 10.0 ** (-3.0 * rng.random((3, 3)))
+    return p / p.sum()
+
+
+@PROPERTY
+@given(seed=seeds, alpha=st.sampled_from([4.0, 6.0, 8.0]))
+def test_spread_pmfs_value_is_the_objective_at_the_returned_pair(seed, alpha):
+    # At large orders P^alpha spans far more than the support cutoff's 1e12;
+    # the certified value must still be the objective of the pair returned.
+    p = spread_pmf3(np.random.default_rng(seed))
+    trace = algorithm_classical(p, AmConfig(alpha=alpha, eps0=1e-6))
+    assert trace.terminated_by == "certificate"
+    q = np.diag(trace.final_sigma_a.entries).real
+    r = np.diag(trace.final_tau_b.entries).real
+    assert abs(d_alpha_classical(p, np.outer(q, r), alpha) - trace.final_x) <= 1e-9
 
 
 QUANTUM_CASES = {

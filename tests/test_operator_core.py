@@ -18,6 +18,7 @@ from prmi import (
     schatten_norm,
     support_relation,
 )
+from prmi.operator_core import support_eigh, support_pairs
 
 
 def rand_hermitian(dim, rng):
@@ -172,6 +173,29 @@ class TestMinNonzeroEig:
             min_nonzero_eig(HermitianOperator.diagonal([0.0, 0.0]))
 
 
+class TestSupportPairs:
+    def test_full_support_returns_the_given_arrays(self, rng):
+        w, v = np.linalg.eigh(random_density(3, rng).entries)
+        w2, v2 = support_pairs(w, v, SupportCutoff(1e-12))
+        assert w2 is w and v2 is v
+
+    def test_cut_keeps_the_top_pairs(self):
+        w, v = np.linalg.eigh(np.diag([1e-5, 0.5, 0.3]))
+        w2, v2 = support_pairs(w, v, SupportCutoff(1e-3))
+        assert np.array_equal(w2, w[1:])
+        assert np.array_equal(v2, v[:, 1:])
+        assert np.array_equal(support_eigh(np.diag([1e-5, 0.5, 0.3]), SupportCutoff(1e-3))[0], w2)
+
+    def test_rejects_clearly_negative(self):
+        w, v = np.linalg.eigh(np.diag([-1e-3, 1.0]))
+        with pytest.raises(InvalidOperator, match="PSD"):
+            support_pairs(w, v, SupportCutoff())
+
+    def test_zero_matrix_gives_empty_arrays(self):
+        w, v = support_pairs(*np.linalg.eigh(np.zeros((2, 2))), SupportCutoff())
+        assert w.shape == (0,) and v.shape == (2, 0)
+
+
 class TestSupportRelation:
     def test_dominated(self):
         rel = support_relation(
@@ -223,6 +247,14 @@ class TestBipartiteState:
             w[0] = 0.0
         with pytest.raises(ValueError):
             v[0, 0] = 0.0
+
+    def test_marginal_spectrum_cached_and_exact(self, rng):
+        state = BipartiteState.from_operator(random_density(6, rng, rank=1), 3, 2)
+        w, v = state.marginal_spectrum
+        assert state.marginal_spectrum[1] is v
+        assert state.marginal_a() is state.marginal_a()
+        assert np.all(w[:-1] <= w[1:])
+        assert np.max(np.abs((v * w) @ v.conj().T - state.marginal_a().entries)) <= 1e-14
 
     def test_marginals(self, rng):
         a = random_density(2, rng)

@@ -13,11 +13,10 @@ from prmi import (
     partial_min_tau,
     q_alpha,
     random_density,
-    restrict_initializer,
     schatten_norm,
     sibson_residual,
 )
-from prmi.am_engine import _AmRun
+from prmi.am_engine import _AmRun, _restricted_pairs
 from prmi.petz_divergence import DomainViolation, product_operator
 
 ALPHAS = [0.6, 0.75, 0.9, 1.5, 2.0]
@@ -128,7 +127,7 @@ class TestPartialMinimizer:
         tau_hat = partial_min_tau(rho, sigma, alpha)
         direct = d_alpha(rho.op, product_operator(sigma, tau_hat), alpha)
         # The engine's half-step carries the minimized value in closed form.
-        run = _AmRun(rho, alpha, DEFAULT_CUT, restrict_initializer(sigma, rho.marginal_a()))
+        run = _AmRun(rho, alpha, DEFAULT_CUT, _restricted_pairs(rho, sigma, DEFAULT_CUT))
         run.a_to_b()
         assert direct == pytest.approx(run.x, abs=1e-9)
 
