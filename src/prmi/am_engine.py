@@ -68,7 +68,7 @@ starts from the eigenpairs of the restricted initializer (``_initial_sigma``).
 For the marginal initializer they are (w_s/sum w_s, V_s), the support part of
 the cached marginal spectrum at the run's cutoff, so it costs no
 decomposition; a uniform or explicit initializer is compressed to that
-support by projector products (``restrict_initializer``) and factored once.
+support at r x r (r its rank), factored once and rotated back.
 Per order there remains the rho^alpha contraction matrix and the
 certificate's constants.
 """
@@ -87,6 +87,8 @@ from .operator_core import (
     BipartiteState,
     HermitianOperator,
     SupportCutoff,
+    _orthogonal,
+    _overlap,
     random_density,
     support_eigh,
     support_mask,
@@ -234,19 +236,19 @@ def restrict_initializer(
     The iteration map is invariant under this restriction, so any initializer
     with nonzero overlap can be replaced by its compressed version.
     """
-    return _compress(sigma0, support_eigh(rho_a.entries, cut)[1], cut)
+    vs = support_eigh(rho_a.entries, cut)[1]
+    return HermitianOperator._wrap(vs @ _compress(sigma0, vs, cut) @ vs.conj().T)
 
 
-def _compress(sigma0: HermitianOperator, vs: np.ndarray, cut: SupportCutoff) -> HermitianOperator:
-    """sigma0 compressed to the span of the orthonormal columns ``vs``, renormalized."""
-    proj = vs @ vs.conj().T
-    compressed = proj @ sigma0.entries @ proj
-    tr = float(np.trace(compressed).real)
-    if tr <= cut.rel_tol:
+def _compress(sigma0: HermitianOperator, vs: np.ndarray, cut: SupportCutoff) -> np.ndarray:
+    """V^dag sigma0 V / tr for orthonormal columns V = ``vs``; ⊥ is relative to tr sigma0."""
+    compressed = vs.conj().T @ sigma0.entries @ vs
+    tr = float(compressed.trace().real)
+    if _orthogonal(tr, sigma0.trace(), cut):
         raise OrthogonalInitializer(
             f"initializer overlap {tr:.3e} with the A-marginal support is below the cutoff"
         )
-    return HermitianOperator._wrap(compressed / tr)
+    return compressed / tr
 
 
 def _factor(mat: np.ndarray, cut: SupportCutoff) -> tuple[np.ndarray, np.ndarray]:
@@ -325,8 +327,8 @@ class _AmRun:
         distance costs one r x r product and one ``eigvalsh``.
         """
         w_old, v_old = self.prev_sigma
-        b = (v_old.conj().T @ self.sigma_vecs) * np.sqrt(self.sigma_vals)
-        dist = whitened_distance(b @ b.conj().T, float(self.sigma_vals.sum()), w_old, self.cut)
+        compressed = _overlap(self.sigma_vals, self.sigma_vecs, v_old)
+        dist = whitened_distance(compressed, float(self.sigma_vals.sum()), w_old, self.cut)
         k_s = max(w_old[-1] / w_old[0], self.sigma_vals[-1] / self.sigma_vals[0])
         k_t = self.tau_vals[-1] / self.tau_vals[0]
         kappa = float((k_s * k_t) ** (self.alpha - 1.0) * (k_s + k_t))
@@ -352,9 +354,10 @@ class _AmRun:
 def _restricted_pairs(
     rho_ab: BipartiteState, sigma0: HermitianOperator, cut: SupportCutoff
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of ``restrict_initializer(sigma0, rho_A, cut)``, factored once."""
+    """Eigenpairs of ``restrict_initializer(sigma0, rho_A, cut)``, factored at r x r."""
     vs = support_pairs(*rho_ab.marginal_spectrum, cut)[1]
-    return _factor(_compress(sigma0, vs, cut).entries, cut)
+    vals, vecs = _factor(_compress(sigma0, vs, cut), cut)
+    return vals, vs @ vecs
 
 
 def _initial_sigma(rho_ab: BipartiteState, config: AmConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -365,12 +368,7 @@ def _initial_sigma(rho_ab: BipartiteState, config: AmConfig) -> tuple[np.ndarray
     """
     if config.init == "marginal":
         w, v = support_pairs(*rho_ab.marginal_spectrum, config.cut)
-        tr = float(w.sum())
-        if tr <= config.cut.rel_tol:
-            raise OrthogonalInitializer(
-                f"initializer overlap {tr:.3e} with the A-marginal support is below the cutoff"
-            )
-        return w / tr, v
+        return w / float(w.sum()), v
     if config.init == "uniform":
         raw = HermitianOperator._wrap(np.eye(rho_ab.d_a) / rho_ab.d_a)
     else:
@@ -622,18 +620,22 @@ def contraction_probe(
 
     Draws random pairs of states with the support of the A marginal and
     returns the largest observed ratio d_H(N(s), N(s')) / d_H(s, s'); for
-    alpha in (1, 2] the ratio is bounded by gamma = 1 - 1/alpha.
+    alpha in (1, 2] the ratio is bounded by gamma = 1 - 1/alpha.  A rank-one
+    marginal, whose support holds a single state, is rejected.
     """
     if not 1.0 < alpha <= 2.0:
         raise ValueError(f"contraction probe requires alpha in (1, 2], got {alpha}")
-    rng = np.random.default_rng(0) if rng is None else rng
     vs = support_pairs(*rho_ab.marginal_spectrum, cut)[1]
+    if vs.shape[1] < 2:
+        raise ValueError("contraction probe requires an A-marginal support of rank 2 or more")
+    rng = np.random.default_rng(0) if rng is None else rng
     gamma = 1.0 - 1.0 / alpha
     max_ratio = 0.0
     done = 0
     while done < trials:
-        s1 = _compress(random_density(rho_ab.d_a, rng), vs, cut)
-        s2 = _compress(random_density(rho_ab.d_a, rng), vs, cut)
+        # V^dag G G^dag V / tr for d_a x d_a Ginibre G: random_density(d_a) restricted.
+        pair = [random_density(vs.shape[1], rng, rank=rho_ab.d_a).entries for _ in range(2)]
+        s1, s2 = (HermitianOperator._wrap(vs @ m @ vs.conj().T) for m in pair)
         base = d_h(s1, s2, cut)
         if not math.isfinite(base) or base < 1e-12:
             continue

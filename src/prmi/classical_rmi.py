@@ -39,7 +39,14 @@ from .am_engine import (
     step_floor,
 )
 from .hilbert_metric import spread_distance
-from .operator_core import DEFAULT_CUT, BipartiteState, HermitianOperator, SupportCutoff, support_mask
+from .operator_core import (
+    DEFAULT_CUT,
+    BipartiteState,
+    HermitianOperator,
+    SupportCutoff,
+    _orthogonal,
+    support_mask,
+)
 from .petz_divergence import DomainViolation, UnsupportedOrder, _check_alpha
 
 _SUM_TOL = 1e-12
@@ -133,30 +140,29 @@ def d_alpha_classical(p, q, alpha: float) -> float:
     qv = _as_array(q).ravel()
     if pv.shape != qv.shape:
         raise ValueError("shape mismatch")
-    sp = support_mask(pv, DEFAULT_CUT)
-    sq = support_mask(qv, DEFAULT_CUT)
-    if alpha > 1 and np.any(sp & ~sq):
+    if not _domain_holds(pv, qv, alpha):
         return math.inf
-    both = sp & sq
-    if not both.any():
-        return math.inf
+    both = support_mask(pv, DEFAULT_CUT) & support_mask(qv, DEFAULT_CUT)
     s = float(np.sum(pv[both] ** alpha * qv[both] ** (1.0 - alpha)))
     if s <= 0:
         return math.inf
     return math.log(s) / (alpha - 1.0)
 
 
-def _check_classical_domain(p_marg: np.ndarray, q: np.ndarray, alpha: float) -> None:
-    sp = support_mask(p_marg, DEFAULT_CUT)
+def _domain_holds(p: np.ndarray, q: np.ndarray, alpha: float) -> bool:
+    """Finiteness domain of D_alpha(p||q): supports meet, and supp p inside supp q for alpha > 1."""
+    sp = support_mask(p, DEFAULT_CUT)
     sq = support_mask(q, DEFAULT_CUT)
-    if alpha > 1:
-        if np.any(sp & ~sq):
-            raise DomainViolation("alpha > 1 requires the marginal support inside the PMF support")
-    elif not np.any(sp & sq):
-        raise DomainViolation("marginal and PMF have disjoint supports")
+    if alpha > 1 and np.any(sp & ~sq):
+        return False
+    return bool(np.any(sp & sq))
 
 
 def _map_once(P: np.ndarray, q: np.ndarray, alpha: float) -> Pmf:
+    """The half-step from q on the rows of P, inside the domain of D_alpha(p_x||q)."""
+    if not _domain_holds(P.sum(axis=1), q, alpha):
+        why = "has points outside" if alpha > 1 else "is disjoint from"
+        raise DomainViolation(f"at alpha={alpha:g} the marginal support {why} the PMF support")
     _check_alpha(alpha)  # the quantum maps' orders; the stepper divides by alpha - 1
     run = _ClassicalRun(P, alpha, DEFAULT_CUT, q)
     run.a_to_b()
@@ -165,18 +171,12 @@ def _map_once(P: np.ndarray, q: np.ndarray, alpha: float) -> Pmf:
 
 def n_x_to_y(p_xy, q_x, alpha: float) -> Pmf:
     """Classical X-to-Y iteration map: normalized (sum_x P^alpha Q^(1-alpha))^(1/alpha)."""
-    P = _validated_joint(p_xy)
-    q = _as_array(q_x).ravel()
-    _check_classical_domain(P.sum(axis=1), q, alpha)
-    return _map_once(P, q, alpha)
+    return _map_once(_validated_joint(p_xy), _as_array(q_x).ravel(), alpha)
 
 
 def n_y_to_x(p_xy, r_y, alpha: float) -> Pmf:
     """Classical Y-to-X iteration map: :func:`n_x_to_y` of the transposed PMF."""
-    P = _validated_joint(p_xy)
-    r = _as_array(r_y).ravel()
-    _check_classical_domain(P.sum(axis=0), r, alpha)
-    return _map_once(P.T, r, alpha)
+    return _map_once(_validated_joint(p_xy).T, _as_array(r_y).ravel(), alpha)
 
 
 def cc_embed(p_xy) -> BipartiteState:
@@ -212,10 +212,10 @@ def birkhoff_kappa_classical(p_xy, alpha: float) -> float:
 
 
 def _restrict_pmf(q: np.ndarray, p_marg: np.ndarray, cut: SupportCutoff) -> np.ndarray:
-    mask = support_mask(p_marg, cut)
-    restricted = np.where(mask, q, 0.0)
+    """q restricted to the support of ``p_marg`` and renormalized; the quantum rule on diagonals."""
+    restricted = np.where(support_mask(p_marg, cut), q, 0.0)
     tr = float(restricted.sum())
-    if tr <= cut.rel_tol:
+    if _orthogonal(tr, float(q.sum()), cut):
         raise OrthogonalInitializer("initializer has no mass on the marginal support")
     return restricted / tr
 
@@ -303,22 +303,20 @@ def classical_linear_constants(p_xy, q0_pmf, alpha: float) -> LinearConstants:
     return _linear_start(_ClassicalRun(P, alpha, DEFAULT_CUT, q0))
 
 
-def _initial_q(P: np.ndarray, config: AmConfig, q0) -> np.ndarray:
+def _initial_q(P: np.ndarray, config: AmConfig) -> np.ndarray:
     p_x = P.sum(axis=1)
-    if q0 is not None:
-        raw = _as_array(q0).ravel()
-    elif config.init == "marginal":
+    if config.init == "marginal":
         raw = p_x
     elif config.init == "uniform":
         raw = np.full(P.shape[0], 1.0 / P.shape[0])
     else:
-        if config.sigma0 is None:
-            raise ValueError("init='explicit' requires sigma0 or an explicit PMF")
         raw = np.diag(config.sigma0.entries).real
+        if raw.size != p_x.size:
+            raise ValueError(f"sigma0 has dim {raw.size}, expected {p_x.size}")
     return _restrict_pmf(raw, p_x, config.cut)
 
 
-def algorithm_classical(p_xy, config: AmConfig, q0=None) -> ConvergenceTrace:
+def algorithm_classical(p_xy, config: AmConfig) -> ConvergenceTrace:
     """Certified classical run: linear certificate for any alpha > 1, sublinear for (1/2, 1).
 
     On the diagonal embedding the vector stepper is the quantum run, so the
@@ -333,7 +331,7 @@ def algorithm_classical(p_xy, config: AmConfig, q0=None) -> ConvergenceTrace:
             f"certified classical runs require alpha in (1/2, 1) or (1, inf), got {alpha}"
         )
     t_start = time.perf_counter()
-    run = _ClassicalRun(P, alpha, config.cut, _initial_q(P, config, q0))
+    run = _ClassicalRun(P, alpha, config.cut, _initial_q(P, config))
     if alpha > 1.0:
         certificate = _linear_certificate(run, _linear_start(run))
     else:
@@ -342,14 +340,12 @@ def algorithm_classical(p_xy, config: AmConfig, q0=None) -> ConvergenceTrace:
     return _drive(run, certificate, config, config.max_iter, t_start)
 
 
-def run_uncertified_classical(
-    p_xy, config: AmConfig, num_iter: int, q0=None
-) -> ConvergenceTrace:
+def run_uncertified_classical(p_xy, config: AmConfig, num_iter: int) -> ConvergenceTrace:
     """Plain classical alternating minimization for exactly ``num_iter`` iterations."""
     if num_iter < 0:
         raise ValueError("num_iter must be nonnegative")
     P = _validated_joint(p_xy)
     t_start = time.perf_counter()
-    run = _ClassicalRun(P, config.alpha, config.cut, _initial_q(P, config, q0))
+    run = _ClassicalRun(P, config.alpha, config.cut, _initial_q(P, config))
     run.a_to_b()
     return _drive(run, _no_certificate, config, num_iter, t_start)

@@ -165,13 +165,14 @@ def load_pmf(path: str | Path) -> JointPmf:
         raise ValidationError(invariant, str(exc))
 
 
-def load_init_pmf(path: str | Path) -> Pmf:
+def load_init_pmf(path: str | Path) -> HermitianOperator:
+    """Read a classical initializer (one CSV row) as the diagonal operator ``AmConfig`` takes."""
     try:
         raw = np.loadtxt(path, delimiter=",")
     except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read PMF file {path}: {exc}")
     try:
-        return Pmf.from_weights(np.atleast_1d(raw))
+        return HermitianOperator.diagonal(Pmf.from_weights(np.atleast_1d(raw)).weights)
     except ValueError as exc:
         raise ValidationError("normalization", str(exc))
 
@@ -225,14 +226,14 @@ def _dispatch_quantum(
 
 
 def _dispatch_classical(
-    pmf: JointPmf, alpha: float, spec: RunSpec, config: AmConfig, init_pmf: Pmf | None
+    pmf: JointPmf, alpha: float, spec: RunSpec, config: AmConfig
 ) -> ConvergenceTrace:
     if alpha == 1.0 or not alpha > 0:
         raise ValidationError("alpha_range", f"alpha={alpha:g} is not supported")
     if alpha > 1.0 or 0.5 < alpha < 1.0:
-        return algorithm_classical(pmf, config, q0=init_pmf)
+        return algorithm_classical(pmf, config)
     if spec.uncertified:
-        return run_uncertified_classical(pmf, config, spec.max_iter, q0=init_pmf)
+        return run_uncertified_classical(pmf, config, spec.max_iter)
     raise ValidationError(
         "alpha_range",
         f"alpha={alpha:g} has no classical certificate ((1/2,1) or (1,inf)); "
@@ -254,13 +255,9 @@ def run(spec: RunSpec) -> int:
     """Execute each requested alpha; returns the process exit code."""
     try:
         cut = _support_cutoff()
-        init_kind, sigma0, init_pmf = spec.init, None, None
+        sigma0 = None
         if spec.init_path is not None:
-            init_kind = "explicit"
-            if spec.mode == "quantum":
-                sigma0 = load_operator(spec.init_path)
-            else:
-                init_pmf = load_init_pmf(spec.init_path)
+            sigma0 = (load_operator if spec.mode == "quantum" else load_init_pmf)(spec.init_path)
         if spec.mode == "quantum":
             rho = load_state(spec.input_path)
         else:
@@ -276,7 +273,7 @@ def run(spec: RunSpec) -> int:
             config = AmConfig(
                 alpha=alpha,
                 eps0=spec.eps0,
-                init=init_kind if spec.mode == "quantum" else spec.init,
+                init=spec.init if sigma0 is None else "explicit",
                 sigma0=sigma0,
                 max_iter=spec.max_iter,
                 cut=cut,
@@ -284,7 +281,7 @@ def run(spec: RunSpec) -> int:
             if spec.mode == "quantum":
                 trace = _dispatch_quantum(rho, alpha, spec, config)
             else:
-                trace = _dispatch_classical(pmf, alpha, spec, config, init_pmf)
+                trace = _dispatch_classical(pmf, alpha, spec, config)
         except (
             ValidationError,
             ValueError,

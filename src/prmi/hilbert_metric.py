@@ -4,12 +4,13 @@ The dominance functional M(X/Y) = ||Y^(-1/2) X Y^(-1/2)||_inf and the
 projective distance d_H(X, Y) = log(M(X/Y) M(Y/X)) drive the linear-rate
 certificate; +inf is returned whenever the supports do not match.
 
-Both come from one decomposition: Y's support eigenpairs (V, w) whiten X's
-compression V^dag X V, and the whitened spectrum lam gives M(X/Y) = max lam
-and, on equal supports, d_H = log(max lam / min lam).  The support checks
-fall out of the same pieces: X << Y when X compressed to ker Y vanishes (its
-trace is tr X - tr V^dag X V), and Y << X when every whitened eigenvalue is
-above the cutoff.  For vectors the whitened spectrum is the ratio P/Q.
+Both come from the support eigenpairs of the two arguments: X's support part
+compressed to supp Y (C = V^dag X V, ``operator_core._overlap_pair``) is
+whitened by Y's support eigenvalues, and the whitened spectrum lam gives
+M(X/Y) = max lam and, on equal supports, d_H = log(max lam / min lam).  X << Y
+is ``operator_core._dominated`` on tr C, and Y << X holds when every whitened
+eigenvalue is above the cutoff; d_H is symmetric at the cutoff.  For vectors
+the whitened spectrum is the ratio P/Q.
 """
 
 from __future__ import annotations
@@ -20,13 +21,13 @@ import numpy as np
 
 from .operator_core import (
     DEFAULT_CUT,
-    DimMismatch,
     HermitianOperator,
     SupportCutoff,
     SupportRelation,
     ZeroOperator,
+    _dominated,
+    _overlap_pair,
     min_nonzero_eig,
-    support_eigh,
     support_relation,
 )
 
@@ -36,21 +37,6 @@ ProjectiveDistance = float
 
 class SupportMismatch(Exception):
     """Arguments were required to have equal supports but do not."""
-
-
-def _compress(
-    x: HermitianOperator, y: HermitianOperator, cut: SupportCutoff
-) -> tuple[np.ndarray, np.ndarray]:
-    """Y's support eigenvalues and X compressed to supp Y (one ``support_eigh``)."""
-    if x.dim != y.dim:
-        raise DimMismatch(f"dims differ: {x.dim} vs {y.dim}")
-    wy, vy = support_eigh(y.entries, cut)
-    return wy, vy.conj().T @ x.entries @ vy
-
-
-def _dominated(compressed: np.ndarray, mass: float, cut: SupportCutoff) -> bool:
-    """X << Y: X compressed to ker Y, a PSD matrix of trace tr X - tr(compressed), vanishes."""
-    return mass - float(compressed.trace().real) <= cut.rel_tol * mass
 
 
 def _whitened_eigvals(compressed: np.ndarray, wy: np.ndarray) -> np.ndarray:
@@ -81,7 +67,7 @@ def whitened_distance(
     distance and the check Y << X; X << Y is read off the traces.  +inf when
     either support check fails.
     """
-    if not _dominated(compressed, mass, cut):
+    if not _dominated(float(compressed.trace().real), mass, cut):
         return math.inf
     lam = _whitened_eigvals(compressed, wy)
     return spread_distance(lam[-1], lam[0], cut.rel_tol)
@@ -92,13 +78,13 @@ def m_ratio(
 ) -> float:
     """Dominance functional M(X/Y); +inf when X is not dominated by Y.
 
-    X is compressed to the support of Y before inverting, so the value is
-    well-defined under the cutoff whenever the dominance check passes.
+    X's support part is compressed to the support of Y before inverting, so the
+    value is well-defined under the cutoff whenever the dominance check passes.
     """
-    wy, compressed = _compress(x, y, cut)
+    wx, wy, compressed = _overlap_pair(x, y, cut)
     if not wy.size:
         raise ZeroOperator("M(X/Y) undefined for Y = 0")
-    if not _dominated(compressed, x.trace(), cut):
+    if not _dominated(float(compressed.trace().real), float(wx.sum()), cut):
         return math.inf
     return float(np.max(np.abs(_whitened_eigvals(compressed, wy))))
 
@@ -108,12 +94,12 @@ def d_h(
 ) -> ProjectiveDistance:
     """Projective distance log(M(X/Y) M(Y/X)); 0 for X = Y = 0, +inf off-support.
 
-    One ``support_eigh`` of Y and one ``eigvalsh`` (:func:`whitened_distance`).
+    One ``support_eigh`` per argument and one ``eigvalsh`` (:func:`whitened_distance`).
     """
-    wy, compressed = _compress(x, y, cut)
+    wx, wy, compressed = _overlap_pair(x, y, cut)
     if not wy.size:
-        return 0.0 if not np.any(x.entries) else math.inf
-    return whitened_distance(compressed, x.trace(), wy, cut)
+        return 0.0 if not wx.size else math.inf
+    return whitened_distance(compressed, float(wx.sum()), wy, cut)
 
 
 def d_h_bound_from_spectra(

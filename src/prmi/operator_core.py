@@ -7,6 +7,10 @@ below a relative cutoff count as kernel and map to zero.  That rule lives in
 ``support_mask``, and ``support_eigh`` is the one eigendecomposition that
 applies it (through ``support_pairs``, which also serves eigenpairs a
 caller already holds).
+
+Every support relation is read off those eigenpairs by one kernel,
+``_overlap`` (X's support part compressed to supp Y), and its trace against
+tr X: X << Y by ``_dominated``, X ⊥ Y by ``_orthogonal``.
 """
 
 from __future__ import annotations
@@ -220,30 +224,48 @@ def min_nonzero_eig(x: HermitianOperator, cut: SupportCutoff = DEFAULT_CUT) -> f
     return float(w[0])
 
 
+def _overlap(wx: np.ndarray, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
+    """C = B diag(wx) B^dag, B = vy^dag vx: X's support part (wx, vx) compressed to span vy.
+
+    X compressed to the complement is PSD of trace tr X - tr C.
+    """
+    b = (vy.conj().T @ vx) * np.sqrt(wx)
+    return b @ b.conj().T
+
+
+def _overlap_pair(
+    x: HermitianOperator, y: HermitianOperator, cut: SupportCutoff
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """X's and Y's support eigenvalues and :func:`_overlap` of the two (two ``support_eigh``)."""
+    if x.dim != y.dim:
+        raise DimMismatch(f"dims differ: {x.dim} vs {y.dim}")
+    wx, vx = support_eigh(x.entries, cut)
+    wy, vy = support_eigh(y.entries, cut)
+    return wx, wy, _overlap(wx, vx, vy)
+
+
+def _dominated(inside: float, mass: float, cut: SupportCutoff) -> bool:
+    """X << Y: the trace of X outside supp Y, ``mass - inside``, is at most rel_tol tr X."""
+    return mass - inside <= cut.rel_tol * mass
+
+
+def _orthogonal(inside: float, mass: float, cut: SupportCutoff) -> bool:
+    """X ⊥ Y: the trace of X inside supp Y, ``inside``, is at most rel_tol tr X."""
+    return inside <= cut.rel_tol * mass
+
+
 def support_relation(
     x: HermitianOperator, y: HermitianOperator, cut: SupportCutoff = DEFAULT_CUT
 ) -> SupportRelation:
-    """Classify the support relation of two PSD operators at the cutoff."""
-    if x.dim != y.dim:
-        raise DimMismatch(f"dims differ: {x.dim} vs {y.dim}")
-    tol = cut.rel_tol
+    """Classify the support relation of two PSD operators at the cutoff.
 
-    def dominated(a: HermitianOperator, b: HermitianOperator) -> bool:
-        # a << b  iff  || (1 - b^0) a (1 - b^0) ||_inf <= tol * ||a||_inf
-        proj = np.eye(b.dim) - support_projector(b, cut).entries
-        resid = proj @ a.entries @ proj
-        norm_a = schatten_norm(a, np.inf)
-        return float(np.max(np.abs(np.linalg.eigvalsh(resid)))) <= tol * norm_a
-
-    x_in_y = dominated(x, y)
-    y_in_x = dominated(y, x)
-    if x_in_y and y_in_x:
-        return SupportRelation.EQUAL_SUPPORT
-    if x_in_y:
-        return SupportRelation.DOMINATED
-    proj_y = support_projector(y, cut).entries
-    overlap = proj_y @ x.entries @ proj_y
-    if float(np.max(np.abs(np.linalg.eigvalsh(overlap)))) <= tol * schatten_norm(x, np.inf):
+    X ~ Y when X << Y and both supports have the same rank (both zero included).
+    """
+    wx, wy, overlap = _overlap_pair(x, y, cut)
+    mass, inside = float(wx.sum()), float(overlap.trace().real)
+    if _dominated(inside, mass, cut):
+        return SupportRelation.EQUAL_SUPPORT if wx.size == wy.size else SupportRelation.DOMINATED
+    if _orthogonal(inside, mass, cut):
         return SupportRelation.ORTHOGONAL
     return SupportRelation.NONE
 

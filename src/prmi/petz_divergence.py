@@ -110,14 +110,9 @@ def _contract_b(rho_alpha_4d: np.ndarray, t_b: np.ndarray) -> np.ndarray:
 def _check_partial_domain(
     marginal: HermitianOperator, sigma: HermitianOperator, alpha: float, cut: SupportCutoff
 ) -> None:
-    rel = support_relation(marginal, sigma, cut)
-    if alpha > 1:
-        if rel not in (SupportRelation.DOMINATED, SupportRelation.EQUAL_SUPPORT):
-            raise DomainViolation(
-                "alpha > 1 requires the state marginal to be dominated by the product factor"
-            )
-    elif rel is SupportRelation.ORTHOGONAL:
-        raise DomainViolation("marginal and product factor have orthogonal supports")
+    if not domain_holds(marginal, sigma, alpha, cut):
+        why = "is not dominated by" if alpha > 1 else "has a support orthogonal to"
+        raise DomainViolation(f"at alpha={alpha:g} the state marginal {why} the product factor")
 
 
 def partial_min_tau(

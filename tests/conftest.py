@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from prmi import BipartiteState, HermitianOperator, random_density
+from prmi import DEFAULT_CUT, BipartiteState, HermitianOperator, SupportRelation, random_density
 
 
 def random_state(d_a: int, d_b: int, rng: np.random.Generator) -> BipartiteState:
@@ -61,3 +61,42 @@ def a_priori_iterations(alpha: float, consts, eps0: float) -> int:
     while not a_priori_eps(alpha, consts, n) < eps0:
         n += 1
     return n
+
+
+def composed_ratios(x, y, rel_tol: float = DEFAULT_CUT.rel_tol) -> tuple[float, float, float]:
+    """The three ratios the projector/Schatten-norm support relation compares with the cutoff.
+
+    With a^0 the support projector of a at the cutoff and ||.|| the spectral
+    norm of the full entries: ||(1 - y^0) x (1 - y^0)|| / ||x|| (x << y when
+    small), the same with x and y swapped, and ||y^0 x y^0|| / ||x|| (x ⊥ y
+    when small).  A zero numerator reads 0.
+    """
+
+    def projector(a):
+        w, v = np.linalg.eigh(a)
+        v = v[:, w > rel_tol * max(w[-1], 0.0)]
+        return v @ v.conj().T
+
+    def norm(a):
+        return float(np.max(np.abs(np.linalg.eigvalsh(a))))
+
+    def ratio(part, whole):
+        top = norm(part)
+        return top / norm(whole) if top else 0.0
+
+    a, b = x.entries, y.entries
+    pa, pb = projector(a), projector(b)
+    qa, qb = np.eye(len(a)) - pa, np.eye(len(b)) - pb
+    return ratio(qb @ a @ qb, a), ratio(qa @ b @ qa, b), ratio(pb @ a @ pb, a)
+
+
+def composed_support_relation(x, y, rel_tol: float = DEFAULT_CUT.rel_tol) -> SupportRelation:
+    """Reference copy of the projector/Schatten-norm support relation, in numpy only."""
+    x_out, y_out, x_in = composed_ratios(x, y, rel_tol)
+    if x_out <= rel_tol and y_out <= rel_tol:
+        return SupportRelation.EQUAL_SUPPORT
+    if x_out <= rel_tol:
+        return SupportRelation.DOMINATED
+    if x_in <= rel_tol:
+        return SupportRelation.ORTHOGONAL
+    return SupportRelation.NONE

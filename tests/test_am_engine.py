@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 
@@ -136,18 +137,21 @@ class TestStateSpectrumCache:
 
 
 def _setup_before_caching(rho_ab, config):
-    """In-test copy of the marginal initializer's set-up before it was cached.
+    """In-test copy of the restricted initializer's set-up by d x d projector products.
 
-    The A marginal is compressed to its own support by projector products and
-    renormalized (``restrict_initializer``), and the result is decomposed
-    again at the cutoff (``support_eigh``).
+    The initializer (the A marginal, uniform, or ``config.sigma0``) is
+    compressed to the A-marginal support by projector products and
+    renormalized, and the result is decomposed again at the cutoff; the
+    marginal spectrum is not cached and nothing is compressed at r x r.
     """
     rel_tol = config.cut.rel_tol
     rho_a = rho_ab.marginal_a().entries
+    raw = {"marginal": rho_a, "uniform": np.eye(rho_ab.d_a) / rho_ab.d_a}.get(config.init)
+    raw = config.sigma0.entries if raw is None else raw
     w, v = np.linalg.eigh(rho_a)
     vs = v[:, w > rel_tol * max(w[-1], 0.0)]
     proj = vs @ vs.conj().T
-    compressed = proj @ rho_a @ proj
+    compressed = proj @ raw @ proj
     compressed = compressed / np.trace(compressed).real
     w, v = np.linalg.eigh((compressed + compressed.conj().T) / 2.0)
     keep = w > rel_tol * max(w[-1], 0.0)
@@ -201,16 +205,36 @@ class TestSetupOnce:
             assert cached.iterations == before.iterations, name
             assert np.max(np.abs(cached.x_values - before.x_values)) <= 1e-10, name
 
-    def test_explicit_and_uniform_initializers_unchanged(self, rng):
-        rho = BipartiteState.from_operator(random_density(6, rng, rank=1), 3, 2)
-        sigma0 = random_density(3, rng)
-        for init, raw in [("uniform", uniform_op(3)), ("explicit", sigma0)]:
-            config = AmConfig(alpha=1.5, init=init, sigma0=sigma0)
-            vals, vecs = _initial_sigma(rho, config)
-            restricted = restrict_initializer(raw, rho.marginal_a(), config.cut)
-            expect_vals, expect_vecs = support_eigh(restricted.entries, config.cut)
-            assert np.array_equal(vals, expect_vals)
-            assert np.array_equal(vecs, expect_vecs)
+    def test_explicit_and_uniform_initializers_unchanged(self, monkeypatch):
+        # Compressed at r x r now: the same solves as the d x d set-up within rounding.
+        rng = np.random.default_rng(47)
+        for name, rho in _setup_states().items():
+            sigma0 = random_density(rho.d_a, rng)
+            for init, cut, (alpha, eps0, solve) in itertools.product(
+                ("uniform", "explicit"),
+                (DEFAULT_CUT, SupportCutoff(1e-3)),
+                [(1.5, 1e-8, algorithm1), (0.75, 1e-4, algorithm2), (3.0, 1e-6, run_uncertified)],
+            ):
+                config = AmConfig(alpha=alpha, eps0=eps0, init=init, sigma0=sigma0, cut=cut)
+                args = (25,) if solve is run_uncertified else ()
+                now = solve(rho, config, *args)
+                with monkeypatch.context() as m:
+                    m.setattr(am_engine, "_initial_sigma", _setup_before_caching)
+                    before = solve(rho, config, *args)
+                label = (name, init, cut.rel_tol, alpha)
+                assert now.terminated_by == before.terminated_by, label
+                assert now.iterations == before.iterations, label
+                assert np.max(np.abs(now.x_values - before.x_values)) <= 1e-10, label
+
+    def test_initializer_scale_does_not_matter(self, rng):
+        rho = random_state(2, 2, rng)
+        traces = []
+        for scale in (1.0, 1e-6, 1e-13):
+            sigma0 = HermitianOperator.diagonal([scale * 0.3, scale * 0.7])
+            traces.append(algorithm1(rho, AmConfig(alpha=1.5, init="explicit", sigma0=sigma0)))
+        for trace in traces[1:]:
+            assert trace.iterations == traces[0].iterations
+            assert np.max(np.abs(trace.x_values - traces[0].x_values)) <= 1e-12
 
     def test_marginal_initializer_reuses_the_cached_vectors(self, rng):
         rho = random_state(2, 3, rng)
@@ -534,6 +558,13 @@ class TestProbes:
         rho = random_state(2, 2, rng)
         report = contraction_probe(rho, 1.5, 50, rng)
         assert report.max_ratio <= report.gamma + 1e-9
+
+    def test_contraction_probe_rejects_rank_one_marginal(self, rng):
+        # |0><0| (x) tau: every restricted state is |0><0|, so no pair has d_H > 0.
+        tau = random_density(2, rng).entries
+        rho = BipartiteState.from_matrix(np.kron(np.diag([1.0, 0.0]), tau), 2, 2)
+        with pytest.raises(ValueError, match="rank 2"):
+            contraction_probe(rho, 1.5, 5, rng)
 
     def test_maximally_mixed_ratio(self, rng):
         report = contraction_probe(uniform_state(2, 2), 2.0, 30, rng)

@@ -208,6 +208,25 @@ class TestClassicalAlgorithm:
         gap = grid_min_classical(p, alpha, 1e-3).min_value - trace.final_x
         assert 0.0 <= gap <= 1e-4
 
+    @pytest.mark.parametrize("alpha", [0.75, 1.5])
+    def test_explicit_initializer_scale_does_not_matter(self, alpha):
+        p = np.array([[0.4, 0.1], [0.1, 0.4]])
+        traces = []
+        for scale in (1.0, 1e-6, 1e-13):
+            sigma0 = HermitianOperator.diagonal([scale * 0.3, scale * 0.7])
+            config = AmConfig(alpha=alpha, init="explicit", sigma0=sigma0)
+            traces.append(algorithm_classical(p, config))
+        for trace in traces[1:]:
+            assert trace.iterations == traces[0].iterations
+            assert np.max(np.abs(trace.x_values - traces[0].x_values)) <= 1e-12
+
+    def test_explicit_initializer_of_wrong_length(self):
+        sigma0 = HermitianOperator.diagonal([0.2, 0.3, 0.5])
+        config = AmConfig(alpha=1.5, init="explicit", sigma0=sigma0)
+        for run in (algorithm_classical, lambda p, c: run_uncertified_classical(p, c, 3)):
+            with pytest.raises(ValueError, match="dim 3, expected 2"):
+                run(np.array([[0.4, 0.1], [0.1, 0.4]]), config)
+
     def test_constants_read_the_marginal_support(self):
         # lambda_A is the smallest nonzero row sum of P^alpha, 1.29e-16 at
         # alpha 6, not the smallest one above a relative cutoff.

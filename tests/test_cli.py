@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import maximally_correlated, random_product_state, random_state
+from prmi import AmConfig, HermitianOperator, algorithm_classical
 from prmi.cli import (
     EXIT_INVALID,
     EXIT_IO,
@@ -189,6 +190,24 @@ class TestMain:
         assert code == EXIT_OK
         doc = json.loads(out.read_text())
         assert doc["alpha"] == 2.0
+
+    def test_classical_init_from_file(self, tmp_path):
+        pmf = tmp_path / "pmf.csv"
+        pmf.write_text("0.4,0.1\n0.1,0.4\n")
+        init = tmp_path / "q.csv"
+        init.write_text("0.3,0.7\n")
+        out = tmp_path / "trace.json"
+        argv = [str(pmf), "--mode", "classical", "--alpha", "1.5", "--trace-out", str(out)]
+        assert main(argv + ["--init", f"file:{init}"]) == EXIT_OK
+        sigma0 = HermitianOperator.diagonal([0.3, 0.7])
+        library = algorithm_classical(
+            np.array([[0.4, 0.1], [0.1, 0.4]]), AmConfig(alpha=1.5, init="explicit", sigma0=sigma0)
+        )
+        doc = json.loads(out.read_text())
+        assert doc["final_x"] == library.final_x == 0.25928259793008457
+        assert [r["x_n"] for r in doc["records"]] == list(library.x_values)
+        init.write_text("0.2,0.3,0.5\n")
+        assert main(argv + ["--init", f"file:{init}"]) == EXIT_INVALID
 
     def test_missing_file_exit_two(self, tmp_path):
         code = main([str(tmp_path / "nope.json"), "--alpha", "1.5"])

@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import composed_support_relation
 from prmi import (
     DEFAULT_CUT,
     DimMismatch,
@@ -19,7 +20,6 @@ from prmi import (
     partial_trace,
     power_on_support,
     random_density,
-    support_relation,
     tensor_additivity_residual,
 )
 
@@ -168,12 +168,13 @@ class TestTensorAdditivity:
 
 
 def _composed_m_ratio(x, y):
-    """Reference: M(X/Y) through ``support_relation`` and an explicit inverse square root."""
+    """Reference: M(X/Y) behind the projector/norm support relation, by an inverse square root."""
     wy, vs = np.linalg.eigh(y.entries)
     keep = wy > DEFAULT_CUT.rel_tol * max(wy[-1], 0.0)
     if not keep.any():
         raise ZeroOperator("M(X/Y) undefined for Y = 0")
-    if support_relation(x, y) not in (SupportRelation.DOMINATED, SupportRelation.EQUAL_SUPPORT):
+    relation = composed_support_relation(x, y)
+    if relation not in (SupportRelation.DOMINATED, SupportRelation.EQUAL_SUPPORT):
         return math.inf
     wy, vs = wy[keep], vs[:, keep]
     inv_sqrt = 1.0 / np.sqrt(wy)
@@ -183,12 +184,12 @@ def _composed_m_ratio(x, y):
 
 
 def _composed_d_h(x, y):
-    """Reference: log(M(X/Y) M(Y/X)) behind a ``support_relation`` check."""
+    """Reference: log(M(X/Y) M(Y/X)) behind the projector/norm support relation."""
     x_zero = float(np.max(np.abs(x.entries))) == 0.0
     y_zero = float(np.max(np.abs(y.entries))) == 0.0
     if x_zero and y_zero:
         return 0.0
-    if support_relation(x, y) is not SupportRelation.EQUAL_SUPPORT or y_zero:
+    if composed_support_relation(x, y) is not SupportRelation.EQUAL_SUPPORT or y_zero:
         return math.inf
     return max(math.log(_composed_m_ratio(x, y) * _composed_m_ratio(y, x)), 0.0)
 
@@ -233,7 +234,14 @@ class TestOneShotDH:
                 assert m_got == m_expect if math.isinf(m_expect) else m_got == pytest.approx(m_expect, rel=1e-10)
         assert finite >= 9  # the equal-support pairs, every rank
 
-    def test_one_eigh_and_one_eigvalsh(self, rng, monkeypatch):
+    def test_symmetric_at_the_cutoff(self):
+        # X's three small eigenvalues lie below the cutoff: d_H reads X's support part.
+        x = HermitianOperator.diagonal([1.0, 5e-13, 5e-13, 5e-13])
+        y = HermitianOperator.diagonal([1.0, 0.0, 0.0, 0.0])
+        assert d_h(x, y) == d_h(y, x) == 0.0
+        assert m_ratio(x, y) == pytest.approx(1.0, abs=1e-12)
+
+    def test_two_eigh_and_one_eigvalsh(self, rng, monkeypatch):
         x = random_density(3, rng, rank=2)
         y = _same_support(x, rng)
         calls = Counter()
@@ -245,7 +253,7 @@ class TestOneShotDH:
 
             monkeypatch.setattr(np.linalg, name, counted)
         assert math.isfinite(d_h(x, y))
-        assert calls == {"eigh": 1, "eigvalsh": 1}
+        assert calls == {"eigh": 2, "eigvalsh": 1}
 
     def test_dim_mismatch_raises(self, rng):
         with pytest.raises(DimMismatch):

@@ -1,7 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from conftest import composed_ratios, composed_support_relation
 from prmi import (
+    DEFAULT_CUT,
     BipartiteState,
     DimMismatch,
     HermitianOperator,
@@ -219,6 +223,98 @@ class TestSupportRelation:
         x = HermitianOperator.diagonal([0.5, 0.5, 0.0])
         y = HermitianOperator.diagonal([0.0, 0.5, 0.5])
         assert support_relation(x, y) is SupportRelation.NONE
+
+    def test_matches_composed_definition(self):
+        # The trace of X's support part and the spectral norm of its full
+        # entries may disagree within a factor d of the cutoff; pairs whose
+        # relations fall inside that band are left out.
+        pairs = _relation_pairs(np.random.default_rng(2507), rounds=6)
+        seen, tol = Counter(), DEFAULT_CUT.rel_tol
+        for x, y in pairs:
+            if any(tol / x.dim < r < tol * x.dim for r in composed_ratios(x, y)):
+                seen["near the cutoff"] += 1
+                continue
+            expect = composed_support_relation(x, y)
+            assert support_relation(x, y) is expect
+            seen[expect] += 1
+        assert min(seen[rel] for rel in SupportRelation) >= 100
+        assert sum(seen.values()) > 2000 and seen["near the cutoff"] <= 20
+
+    def test_zero_pairs(self):
+        zero, e0 = HermitianOperator.diagonal([0.0, 0.0]), HermitianOperator.diagonal([1.0, 0.0])
+        for x, y, expect in [
+            (zero, zero, SupportRelation.EQUAL_SUPPORT),
+            (zero, e0, SupportRelation.DOMINATED),
+            (e0, zero, SupportRelation.ORTHOGONAL),
+        ]:
+            assert support_relation(x, y) is expect is composed_support_relation(x, y)
+
+    def test_sub_cutoff_entries_are_kernel_both_ways(self):
+        # X's three small eigenvalues lie below the cutoff, so supp X = supp Y.
+        x = HermitianOperator.diagonal([1.0, 5e-13, 5e-13, 5e-13])
+        y = HermitianOperator.diagonal([1.0, 0.0, 0.0, 0.0])
+        for a, b in [(x, y), (y, x)]:
+            assert support_relation(a, b) is SupportRelation.EQUAL_SUPPORT
+            assert composed_support_relation(a, b) is SupportRelation.EQUAL_SUPPORT
+
+    def test_two_eigh_and_no_eigvalsh(self, rng, monkeypatch):
+        calls = Counter()
+        for name in ("eigh", "eigvalsh"):
+
+            def counted(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        x, y = random_density(3, rng, rank=2), random_density(3, rng)
+        assert support_relation(x, y) is SupportRelation.DOMINATED
+        assert calls == {"eigh": 2}
+
+
+def _unitary(d, rng):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return np.linalg.qr(g)[0]
+
+
+def _spread(v, rng, low):
+    """Density operator on the span of the columns ``v``, spectrum log-uniform down to ``low``."""
+    w = np.exp(rng.uniform(np.log(low), 0.0, v.shape[1]))
+    m = (v * w) @ v.conj().T
+    return m / np.sum(w) if w.size else m
+
+
+def _relation_pairs(rng, rounds):
+    """Pairs at d = 1..6 and every rank: X inside, outside, across or random to supp Y.
+
+    Y's spectrum spans down to 1e-11 of its top, X's down to 1e-9, and a
+    nonzero X carries 1e-14 noise below the cutoff.  Every relation the two rules
+    decide is then far from their tolerances, whose forms (trace of X's
+    support part against spectral norms of the full entries) differ within a
+    factor d of the cutoff.
+    """
+    pairs = []
+    for _ in range(rounds):
+        for d in range(1, 7):
+            for r_y in range(d + 1):
+                u = _unitary(d, rng)
+                inside, outside = u[:, :r_y], u[:, r_y:]
+                y = _spread(inside, rng, 1e-11)
+                for r_x in range(d + 1):
+                    spans = [_unitary(d, rng)[:, :r_x]]
+                    if r_x <= r_y:
+                        spans.append(inside @ _unitary(r_y, rng)[:, :r_x])
+                    if r_x <= d - r_y:
+                        spans.append(outside @ _unitary(d - r_y, rng)[:, :r_x])
+                    if 2 <= r_x and r_y and d - r_y:
+                        k = rng.integers(1, r_x)
+                        if k <= r_y and r_x - k <= d - r_y:
+                            spans.append(np.hstack([inside[:, :k], outside[:, : r_x - k]]))
+                    for v in spans:
+                        x = _spread(v, rng, 1e-9)
+                        if r_x:
+                            x = x + 1e-14 * random_density(d, rng).entries
+                        pairs.append((HermitianOperator._wrap(x), HermitianOperator._wrap(y)))
+    return pairs
 
 
 class TestBipartiteState:
