@@ -12,6 +12,7 @@ from .am_engine import (
     ConvergenceTrace,
     LinearConstants,
     MonotonicityViolation,
+    NoCertificate,
     NotStrictlyPositive,
     OrthogonalInitializer,
     SublinearConstants,

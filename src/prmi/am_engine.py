@@ -55,7 +55,11 @@ the sublinear bound, or none), records each iterate and decides why the run
 stopped.  Only the linear certificate calls ``step_distance``.  The constants
 of both certificates come from ``_linear_start`` and ``_sublinear_start``,
 which read them off a stepper of either kind through ``sigma0_min``,
-``lambda_a()``, ``lambda_b()`` and the first ``a_to_b``.  Each quantum
+``lambda_a()``, ``lambda_b()`` and ``q``; every stepper takes its first
+half-step when it is built.  Which order gets which certificate is decided in
+one place, ``_certificate``: linear on (1, ``linear_max``] of the stepper
+(2 for ``_AmRun``, every order above one for the classical stepper),
+sublinear on (1/2, 1), and ``NoCertificate`` elsewhere.  Each quantum
 half-step's eigendecomposition goes through ``operator_core.support_eigh``,
 the one cutoff eigendecomposition; the classical stepper applies the same
 cutoff rule, ``support_mask``, to vectors.
@@ -96,6 +100,7 @@ from .operator_core import (
 )
 from .petz_divergence import (
     DomainViolation,
+    _check_alpha,
     _rho_alpha_tensor,
     partial_min_sigma,
     partial_min_tau,
@@ -112,6 +117,10 @@ class MonotonicityViolation(Exception):
 
 class NotStrictlyPositive(Exception):
     """Diagnostic requires a strictly positive input state."""
+
+
+class NoCertificate(ValueError):
+    """The order has no stopping certificate for this kind of run."""
 
 
 TERMINATED_CERTIFICATE = "certificate"
@@ -135,8 +144,7 @@ class AmConfig:
     record_states: bool = False
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0 or self.alpha == 1.0:
-            raise ValueError(f"alpha must be positive and not 1, got {self.alpha}")
+        _check_alpha(self.alpha)
         if not self.eps0 > 0:
             raise ValueError(f"eps0 must be positive, got {self.eps0}")
         if self.init not in _INIT_CHOICES:
@@ -265,8 +273,12 @@ class _AmRun:
     States are carried as (support eigenvalues, eigenvector block) pairs so
     each half-step costs one gemv and one small eigendecomposition; the
     objective value comes from the closed form for the partial minimum.
-    ``sigma0`` is the restricted initializer in that form (``_initial_sigma``).
+    ``sigma0`` is the restricted initializer in that form (``_initial_sigma``);
+    the run is built half-stepped, with tau, x and q of sigma0.  The maps
+    contract d_H for orders in (1, ``linear_max``].
     """
+
+    linear_max = 2.0
 
     def __init__(
         self,
@@ -285,10 +297,7 @@ class _AmRun:
         self.sigma_vals, self.sigma_vecs = sigma0
         self.sigma0_min = float(self.sigma_vals[0])
         self.prev_sigma: tuple[np.ndarray, np.ndarray] | None = None
-        self.tau_vals: np.ndarray | None = None
-        self.tau_vecs: np.ndarray | None = None
-        self.x = math.nan
-        self.q = math.nan
+        self.a_to_b()
 
     @staticmethod
     def _power(vals: np.ndarray, vecs: np.ndarray, p: float) -> np.ndarray:
@@ -379,15 +388,14 @@ def _initial_sigma(rho_ab: BipartiteState, config: AmConfig) -> tuple[np.ndarray
 
 
 def _linear_start(run) -> LinearConstants:
-    """Linear constants of a fresh stepper of either kind; takes its first half-step.
+    """Linear constants of a fresh stepper of either kind; takes no step.
 
     The stepper (``_AmRun`` or ``classical_rmi._ClassicalRun``) provides
     ``sigma0_min``, the smallest supported value of the restricted
-    initializer, ``lambda_a()`` and ``a_to_b``, after which ``run.q`` is q0.
-    The formula is the one :func:`linear_constants` documents.
+    initializer, ``lambda_a()`` and, being built half-stepped, q0 as
+    ``run.q``.  The formula is the one :func:`linear_constants` documents.
     """
     alpha = run.alpha
-    run.a_to_b()
     lam_a, q0 = run.lambda_a(), run.q
     c_a = (lam_a / q0) ** (1.0 / alpha)
     c0 = -2.0 * math.log(min(run.sigma0_min, c_a))
@@ -395,7 +403,7 @@ def _linear_start(run) -> LinearConstants:
 
 
 def _sublinear_start(run) -> SublinearConstants:
-    """Sublinear constants of a fresh stepper of either kind; no half-step is taken."""
+    """Sublinear constants of a fresh stepper of either kind; takes no step."""
     alpha, s0_min = run.alpha, run.sigma0_min
     lam_a, lam_b = run.lambda_a(), run.lambda_b()
     bulk = max(
@@ -492,13 +500,29 @@ def _no_certificate(n: int, x_prev: float, x: float) -> None:
     return None
 
 
+def _certificate(run):
+    """The certificate for a fresh stepper's order: the one order-to-certificate rule.
+
+    Linear for 1 < alpha <= ``run.linear_max``, the orders on which the maps
+    contract d_H; sublinear for 1/2 < alpha < 1; ``NoCertificate`` otherwise.
+    """
+    alpha, top = run.alpha, run.linear_max
+    if 1.0 < alpha <= top:
+        return _linear_certificate(run, _linear_start(run))
+    if 0.5 < alpha < 1.0:
+        return _sublinear_certificate(_sublinear_start(run).c0)
+    raise NoCertificate(
+        f"certified runs require 1/2 < alpha < 1 or 1 < alpha <= {top:g}, got {alpha}"
+    )
+
+
 def _drive(run, eps_at, config: AmConfig, max_iter: int, t_start: float) -> ConvergenceTrace:
     """The one iteration loop of every run, quantum (``_AmRun``) or classical.
 
-    ``run`` has taken its first half-step.  Each pass records iteration n
-    (plus the states when ``config.record_states``), stops on the certificate
-    once eps_n < eps0, else on the cap once n >= max_iter, else takes a full
-    step.
+    ``run`` arrives half-stepped, as every stepper is built.  Each pass
+    records iteration n (plus the states when ``config.record_states``), stops
+    on the certificate once eps_n < eps0, else on the cap once n >= max_iter,
+    else takes a full step.
     """
     records: list[TraceRecord] = []
     sigmas: list[HermitianOperator] | None = [] if config.record_states else None
@@ -531,21 +555,28 @@ def _drive(run, eps_at, config: AmConfig, max_iter: int, t_start: float) -> Conv
     )
 
 
+def _certified(
+    rho_ab: BipartiteState, config: AmConfig, above_one: bool, name: str
+) -> ConvergenceTrace:
+    """Body of :func:`algorithm1` (orders above one) and :func:`algorithm2` (below one)."""
+    if (config.alpha > 1.0) != above_one:
+        side = "above" if above_one else "below"
+        raise NoCertificate(f"{name} takes orders {side} one, got {config.alpha}")
+    t_start = time.perf_counter()
+    run = _AmRun(rho_ab, config.alpha, config.cut, _initial_sigma(rho_ab, config))
+    return _drive(run, _certificate(run), config, config.max_iter, t_start)
+
+
 def algorithm1(rho_ab: BipartiteState, config: AmConfig) -> ConvergenceTrace:
     """Certified run for alpha in (1, 2] with the linear certificate.
 
     Stops once eps_n = (exp((alpha-1)(1+gamma) D_n) - 1)/(alpha-1) drops below
     eps0, where D_n >= d_H(sigma_n, sigma*) is the smaller of the a priori
     gamma^(2n) c0 and the a posteriori bound from the last step (module
-    docstring); the output then lies within eps0 of the infimum.
+    docstring); the output then lies within eps0 of the infimum.  Other
+    orders raise :class:`NoCertificate`.
     """
-    alpha = config.alpha
-    if not 1.0 < alpha <= 2.0:
-        raise ValueError(f"algorithm1 requires alpha in (1, 2], got {alpha}")
-    t_start = time.perf_counter()
-    run = _AmRun(rho_ab, alpha, config.cut, _initial_sigma(rho_ab, config))
-    certificate = _linear_certificate(run, _linear_start(run))
-    return _drive(run, certificate, config, config.max_iter, t_start)
+    return _certified(rho_ab, config, True, "algorithm1")
 
 
 def algorithm2(rho_ab: BipartiteState, config: AmConfig) -> ConvergenceTrace:
@@ -553,16 +584,9 @@ def algorithm2(rho_ab: BipartiteState, config: AmConfig) -> ConvergenceTrace:
 
     After each full iteration eps = c0 * sqrt(x_prev - x) bounds the distance
     of the current objective value from the infimum; the loop exits once
-    eps < eps0.
+    eps < eps0.  Other orders raise :class:`NoCertificate`.
     """
-    alpha = config.alpha
-    if not 0.5 < alpha < 1.0:
-        raise ValueError(f"algorithm2 requires alpha in (1/2, 1), got {alpha}")
-    t_start = time.perf_counter()
-    run = _AmRun(rho_ab, alpha, config.cut, _initial_sigma(rho_ab, config))
-    certificate = _sublinear_certificate(_sublinear_start(run).c0)
-    run.a_to_b()
-    return _drive(run, certificate, config, config.max_iter, t_start)
+    return _certified(rho_ab, config, False, "algorithm2")
 
 
 def run_uncertified(
@@ -578,7 +602,6 @@ def run_uncertified(
         raise ValueError("num_iter must be nonnegative")
     t_start = time.perf_counter()
     run = _AmRun(rho_ab, config.alpha, config.cut, _initial_sigma(rho_ab, config))
-    run.a_to_b()
     return _drive(run, _no_certificate, config, num_iter, t_start)
 
 

@@ -13,6 +13,8 @@ hold for it as they stand; their constants come from the shared
 ``am_engine`` start helpers.  The support cutoff acts at set-up, on P and on
 the initial q, and each half-step keeps the supports of the marginals fixed
 there, which is what the iteration preserves in exact arithmetic.
+The linear certificate holds at every order above one
+(``_ClassicalRun.linear_max``), and ``am_engine._certificate`` picks it.
 ``cc_embed`` stays as the reference the tests compare against.
 """
 
@@ -30,12 +32,10 @@ from .am_engine import (
     LinearConstants,
     NotStrictlyPositive,
     OrthogonalInitializer,
+    _certificate,
     _drive,
-    _linear_certificate,
     _linear_start,
     _no_certificate,
-    _sublinear_certificate,
-    _sublinear_start,
     step_floor,
 )
 from .hilbert_metric import spread_distance
@@ -47,7 +47,7 @@ from .operator_core import (
     _orthogonal,
     support_mask,
 )
-from .petz_divergence import DomainViolation, UnsupportedOrder, _check_alpha
+from .petz_divergence import DomainViolation, _check_alpha
 
 _SUM_TOL = 1e-12
 
@@ -132,10 +132,7 @@ def d_alpha_classical(p, q, alpha: float) -> float:
     The sum runs over the support of the first argument; for alpha > 1 any
     zero of the second argument inside that support gives +inf.
     """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if alpha == 1.0:
-        raise UnsupportedOrder("alpha = 1 is not supported")
+    _check_alpha(alpha)
     pv = _as_array(p).ravel()
     qv = _as_array(q).ravel()
     if pv.shape != qv.shape:
@@ -164,9 +161,7 @@ def _map_once(P: np.ndarray, q: np.ndarray, alpha: float) -> Pmf:
         why = "has points outside" if alpha > 1 else "is disjoint from"
         raise DomainViolation(f"at alpha={alpha:g} the marginal support {why} the PMF support")
     _check_alpha(alpha)  # the quantum maps' orders; the stepper divides by alpha - 1
-    run = _ClassicalRun(P, alpha, DEFAULT_CUT, q)
-    run.a_to_b()
-    return Pmf.from_weights(run.r_y)
+    return Pmf.from_weights(_ClassicalRun(P, alpha, DEFAULT_CUT, q).r_y)
 
 
 def n_x_to_y(p_xy, q_x, alpha: float) -> Pmf:
@@ -230,7 +225,11 @@ class _ClassicalRun:
     sums of P^alpha, and q and r on their exact nonzero entries.  A relative
     cutoff on w itself would drop supported points once alpha is large,
     since the range of w grows like the range of P to the power alpha.
+    The run is built half-stepped, and the maps contract d_H at every order
+    above one.
     """
+
+    linear_max = math.inf
 
     def __init__(self, P: np.ndarray, alpha: float, cut: SupportCutoff, q0: np.ndarray) -> None:
         self.alpha = alpha
@@ -241,9 +240,7 @@ class _ClassicalRun:
         self.q_x = np.where(support_mask(q0, cut), q0, 0.0)
         self.sigma0_min = float(self.q_x[self.q_x > 0].min())
         self.prev_q: np.ndarray | None = None
-        self.r_y: np.ndarray | None = None
-        self.x = math.nan
-        self.q = math.nan
+        self.a_to_b()
 
     def _root(self, w: np.ndarray, supp: np.ndarray) -> tuple[np.ndarray, float]:
         """w^(1/alpha) on the marginal support ``supp``, normalized, and its prior mass."""
@@ -322,22 +319,13 @@ def algorithm_classical(p_xy, config: AmConfig) -> ConvergenceTrace:
     On the diagonal embedding the vector stepper is the quantum run, so the
     quantum certificates apply as they stand; the linear one extends from
     (1, 2] to every alpha > 1 because the classical maps contract Hilbert's
-    metric by gamma = 1 - 1/alpha at every such order.
+    metric by gamma = 1 - 1/alpha at every such order.  Other orders raise
+    ``NoCertificate``.
     """
     P = _validated_joint(p_xy)
-    alpha = config.alpha
-    if not (alpha > 1.0 or 0.5 < alpha < 1.0):
-        raise ValueError(
-            f"certified classical runs require alpha in (1/2, 1) or (1, inf), got {alpha}"
-        )
     t_start = time.perf_counter()
-    run = _ClassicalRun(P, alpha, config.cut, _initial_q(P, config))
-    if alpha > 1.0:
-        certificate = _linear_certificate(run, _linear_start(run))
-    else:
-        certificate = _sublinear_certificate(_sublinear_start(run).c0)
-        run.a_to_b()
-    return _drive(run, certificate, config, config.max_iter, t_start)
+    run = _ClassicalRun(P, config.alpha, config.cut, _initial_q(P, config))
+    return _drive(run, _certificate(run), config, config.max_iter, t_start)
 
 
 def run_uncertified_classical(p_xy, config: AmConfig, num_iter: int) -> ConvergenceTrace:
@@ -347,5 +335,4 @@ def run_uncertified_classical(p_xy, config: AmConfig, num_iter: int) -> Converge
     P = _validated_joint(p_xy)
     t_start = time.perf_counter()
     run = _ClassicalRun(P, config.alpha, config.cut, _initial_q(P, config))
-    run.a_to_b()
     return _drive(run, _no_certificate, config, num_iter, t_start)

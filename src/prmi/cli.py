@@ -5,6 +5,12 @@ State files are JSON objects ``{"d_a": int, "d_b": int, "matrix": [[{"re": x,
 fastest; PMFs are CSV matrices of nonnegative floats.  One JSON trace
 document is written per alpha.
 
+Each order runs ``algorithm_classical`` in classical mode, else ``algorithm1``
+above order one and ``algorithm2`` below it; which orders have a certificate
+is the engine's rule (``am_engine._certificate``).  An order without one is an
+error unless ``--uncertified`` is given, which runs the plain iteration for
+``--max-iter`` steps instead.
+
 Exit codes: 0 when every run terminated on its certificate, 2 on validation
 or range errors, 3 when an iteration cap was hit without a certificate, 4 when
 a trace document could not be written.
@@ -17,7 +23,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +31,7 @@ from .am_engine import (
     AmConfig,
     ConvergenceTrace,
     MonotonicityViolation,
+    NoCertificate,
     OrthogonalInitializer,
     TERMINATED_CERTIFICATE,
     algorithm1,
@@ -46,7 +52,7 @@ from .operator_core import (
     InvalidOperator,
     SupportCutoff,
 )
-from .petz_divergence import DomainViolation, UnsupportedOrder
+from .petz_divergence import DomainViolation
 
 SUPPORT_TOL_ENV = "PRMI_SUPPORT_TOL"
 
@@ -66,27 +72,6 @@ class ValidationError(Exception):
     def __init__(self, invariant: str, detail: str = "") -> None:
         self.invariant = invariant
         super().__init__(f"{invariant}: {detail}" if detail else invariant)
-
-
-@dataclass
-class RunSpec:
-    """Everything one invocation needs; mirrors the command-line flags."""
-
-    mode: str
-    alpha_list: list[float]
-    eps0: float
-    input_path: str
-    trace_path: str
-    init_path: str | None = None
-    init: str = "marginal"
-    max_iter: int = 100_000
-    uncertified: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.alpha_list:
-            raise ValueError("alpha_list must be nonempty")
-        if not self.eps0 > 0:
-            raise ValueError("eps0 must be positive")
 
 
 def _matrix_from_json(obj) -> np.ndarray:
@@ -209,36 +194,20 @@ def _trace_path_for(base: str, alpha: float, multiple: bool) -> Path:
     return path.with_name(f"{path.stem}-alpha-{alpha:g}{path.suffix or '.json'}")
 
 
-def _dispatch_quantum(
-    rho: BipartiteState, alpha: float, spec: RunSpec, config: AmConfig
+def _solve(
+    data: BipartiteState | JointPmf, config: AmConfig, uncertified: bool
 ) -> ConvergenceTrace:
-    if 1.0 < alpha <= 2.0:
-        return algorithm1(rho, config)
-    if 0.5 < alpha < 1.0:
-        return algorithm2(rho, config)
-    if spec.uncertified and alpha > 0 and alpha != 1.0:
-        return run_uncertified(rho, config, spec.max_iter)
-    raise ValidationError(
-        "alpha_range",
-        f"alpha={alpha:g} has no certificate (quantum: (1/2,1) or (1,2]); "
-        "pass --uncertified to iterate anyway",
-    )
-
-
-def _dispatch_classical(
-    pmf: JointPmf, alpha: float, spec: RunSpec, config: AmConfig
-) -> ConvergenceTrace:
-    if alpha == 1.0 or not alpha > 0:
-        raise ValidationError("alpha_range", f"alpha={alpha:g} is not supported")
-    if alpha > 1.0 or 0.5 < alpha < 1.0:
-        return algorithm_classical(pmf, config)
-    if spec.uncertified:
-        return run_uncertified_classical(pmf, config, spec.max_iter)
-    raise ValidationError(
-        "alpha_range",
-        f"alpha={alpha:g} has no classical certificate ((1/2,1) or (1,inf)); "
-        "pass --uncertified to iterate anyway",
-    )
+    """The certified run of one order, or the plain one if it has none and ``uncertified``."""
+    classical = isinstance(data, JointPmf)
+    try:
+        if classical:
+            return algorithm_classical(data, config)
+        return (algorithm1 if config.alpha > 1.0 else algorithm2)(data, config)
+    except NoCertificate as exc:
+        if not uncertified:
+            raise ValidationError("alpha_range", f"{exc}; pass --uncertified to iterate anyway")
+    plain = run_uncertified_classical if classical else run_uncertified
+    return plain(data, config, config.max_iter)
 
 
 def _support_cutoff() -> SupportCutoff:
@@ -251,42 +220,37 @@ def _support_cutoff() -> SupportCutoff:
         raise ValidationError("support_tol", f"{SUPPORT_TOL_ENV}={raw!r}: {exc}")
 
 
-def run(spec: RunSpec) -> int:
-    """Execute each requested alpha; returns the process exit code."""
+def run(args: argparse.Namespace) -> int:
+    """Execute each requested alpha of parsed arguments; returns the process exit code."""
+    classical = args.mode == "classical"
+    init, sigma0 = args.init, None
     try:
         cut = _support_cutoff()
-        sigma0 = None
-        if spec.init_path is not None:
-            sigma0 = (load_operator if spec.mode == "quantum" else load_init_pmf)(spec.init_path)
-        if spec.mode == "quantum":
-            rho = load_state(spec.input_path)
-        else:
-            pmf = load_pmf(spec.input_path)
+        if init.startswith("file:"):
+            sigma0 = (load_init_pmf if classical else load_operator)(init[len("file:") :])
+            init = "explicit"
+        data = load_pmf(args.input) if classical else load_state(args.input)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
-    multiple = len(spec.alpha_list) > 1
+    multiple = len(args.alpha) > 1
     all_certified = True
-    for alpha in spec.alpha_list:
+    for alpha in args.alpha:
         try:
             config = AmConfig(
                 alpha=alpha,
-                eps0=spec.eps0,
-                init=spec.init if sigma0 is None else "explicit",
+                eps0=args.eps,
+                init=init,
                 sigma0=sigma0,
-                max_iter=spec.max_iter,
+                max_iter=args.max_iter,
                 cut=cut,
             )
-            if spec.mode == "quantum":
-                trace = _dispatch_quantum(rho, alpha, spec, config)
-            else:
-                trace = _dispatch_classical(pmf, alpha, spec, config)
+            trace = _solve(data, config, args.uncertified)
         except (
             ValidationError,
             ValueError,
             InvalidOperator,
-            UnsupportedOrder,
             DomainViolation,
             OrthogonalInitializer,
             MonotonicityViolation,
@@ -294,7 +258,7 @@ def run(spec: RunSpec) -> int:
             print(f"error: alpha={alpha:g}: {exc}", file=sys.stderr)
             return EXIT_INVALID
 
-        out = _trace_path_for(spec.trace_path, alpha, multiple)
+        out = _trace_path_for(args.trace_out, alpha, multiple)
         try:
             out.write_text(json.dumps(_trace_document(trace), indent=1))
         except OSError as exc:
@@ -344,35 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def spec_from_args(args: argparse.Namespace) -> RunSpec:
-    init = args.init
-    init_path = None
-    if init.startswith("file:"):
-        init_path = init[len("file:") :]
-        init = "explicit"
-    elif init not in ("marginal", "uniform"):
-        raise ValidationError("init", f"unknown initializer {args.init!r}")
-    return RunSpec(
-        mode=args.mode,
-        alpha_list=list(args.alpha),
-        eps0=args.eps,
-        input_path=args.input,
-        trace_path=args.trace_out,
-        init_path=init_path,
-        init=init,
-        max_iter=args.max_iter,
-        uncertified=args.uncertified,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        spec = spec_from_args(args)
-    except (ValidationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    return run(spec)
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

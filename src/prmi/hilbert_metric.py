@@ -23,12 +23,9 @@ from .operator_core import (
     DEFAULT_CUT,
     HermitianOperator,
     SupportCutoff,
-    SupportRelation,
     ZeroOperator,
     _dominated,
     _overlap_pair,
-    min_nonzero_eig,
-    support_relation,
 )
 
 # Extended nonnegative real; math.inf marks mismatched supports.
@@ -107,12 +104,16 @@ def d_h_bound_from_spectra(
 ) -> float:
     """Spectral upper bound on d_H for equal-support states.
 
-    Returns -2 log min(min nonzero eig sigma, min nonzero eig tau).
+    Returns -2 log min(min nonzero eig sigma, min nonzero eig tau), all read
+    off one :func:`operator_core._overlap_pair` (two ``support_eigh``): the
+    supports are equal when sigma << tau and the ranks agree.
     """
-    if support_relation(sigma, tau, cut) is not SupportRelation.EQUAL_SUPPORT:
+    ws, wt, compressed = _overlap_pair(sigma, tau, cut)
+    if ws.size != wt.size or not _dominated(float(compressed.trace().real), float(ws.sum()), cut):
         raise SupportMismatch("spectral bound requires equal supports")
-    lam = min(min_nonzero_eig(sigma, cut), min_nonzero_eig(tau, cut))
-    return -2.0 * math.log(lam)
+    if not ws.size:
+        raise ZeroOperator("operator vanishes at the cutoff")
+    return -2.0 * math.log(min(ws[0], wt[0]))
 
 
 def tensor_additivity_residual(

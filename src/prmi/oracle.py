@@ -27,7 +27,7 @@ from .operator_core import (
     BipartiteState,
     SupportCutoff,
 )
-from .petz_divergence import _rho_alpha_tensor
+from .petz_divergence import _check_alpha, _rho_alpha_tensor
 
 _PAULIS = (
     np.eye(2, dtype=np.complex128),
@@ -222,8 +222,7 @@ def grid_min_classical(p_xy, alpha: float, step: float) -> OracleResult:
     if nx > 3 or ny > 3:
         raise TooLarge(f"classical oracle limited to 3x3, got {nx}x{ny}")
     _check_step(step)
-    if not alpha > 0 or alpha == 1.0:
-        raise ValueError(f"alpha must be positive and not 1, got {alpha}")
+    _check_alpha(alpha)
 
     wa = np.zeros_like(P)
     wa[P > 0] = P[P > 0] ** alpha
@@ -313,8 +312,7 @@ def grid_min_quantum_qubit(
     if rho_ab.d_a != 2 or rho_ab.d_b != 2:
         raise TooLarge("quantum oracle limited to two qubits")
     _check_step(step)
-    if not alpha > 0 or alpha == 1.0:
-        raise ValueError(f"alpha must be positive and not 1, got {alpha}")
+    _check_alpha(alpha)
 
     ra = _rho_alpha_tensor(rho_ab, alpha, cut).reshape(4, 4)
     g = np.empty((4, 4))

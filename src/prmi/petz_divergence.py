@@ -30,7 +30,7 @@ DivergenceValue = float
 UNDERFLOW_Q = 1e-300
 
 
-class UnsupportedOrder(Exception):
+class UnsupportedOrder(ValueError):
     """alpha = 1 is excluded; use the mutual-information reference instead."""
 
 
@@ -39,6 +39,7 @@ class DomainViolation(Exception):
 
 
 def _check_alpha(alpha: float) -> None:
+    """The order rule of every entry point: alpha > 0 and alpha != 1."""
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if alpha == 1.0:

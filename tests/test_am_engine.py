@@ -21,6 +21,7 @@ from prmi import (
     BipartiteState,
     HermitianOperator,
     MonotonicityViolation,
+    NoCertificate,
     OrthogonalInitializer,
     SupportCutoff,
     algorithm1,
@@ -438,6 +439,44 @@ class TestAlgorithm1:
         rho = random_state(2, 2, rng)
         with pytest.raises(ValueError):
             algorithm1(rho, AmConfig(alpha=2.5))
+
+
+class TestCertificateRule:
+    """``am_engine._certificate`` is the one rule from an order to its certificate."""
+
+    @pytest.mark.parametrize(
+        "solve, alpha",
+        [(algorithm1, 0.75), (algorithm1, 2.5), (algorithm2, 1.5), (algorithm2, 0.3)],
+    )
+    def test_quantum_orders_without_this_certificate(self, rng, solve, alpha):
+        with pytest.raises(NoCertificate):
+            solve(random_state(2, 2, rng), AmConfig(alpha=alpha))
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5])
+    def test_classical_orders_without_a_certificate(self, rng, alpha):
+        with pytest.raises(NoCertificate):
+            algorithm_classical(random_pmf((2, 3), rng), AmConfig(alpha=alpha))
+
+
+class TestStepperStartsHalfStepped:
+    @pytest.mark.parametrize("alpha", [0.3, 0.75, 1.5, 3.0])
+    def test_quantum(self, rng, alpha):
+        rho = random_state(2, 3, rng)
+        run = _AmRun(rho, alpha, DEFAULT_CUT, _initial_sigma(rho, AmConfig(alpha=alpha)))
+        x, q = run.x, run.q
+        assert math.isfinite(x) and math.isfinite(q)
+        run.a_to_b()
+        assert (run.x, run.q) == (x, q)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.75, 1.5, 8.0])
+    def test_classical(self, rng, alpha):
+        p = random_pmf((3, 2), rng)
+        run = _ClassicalRun(p, alpha, DEFAULT_CUT, p.sum(axis=1))
+        x, r_y = run.x, run.r_y
+        assert math.isfinite(x)
+        run.a_to_b()
+        assert run.x == x
+        assert np.array_equal(run.r_y, r_y)
 
 
 class TestAlgorithm2:

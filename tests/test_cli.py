@@ -107,6 +107,17 @@ class TestStateIO:
         assert err.value.invariant == "normalization"
 
 
+def _orders_without_certificate(state_file, tmp_path):
+    """Arguments for quantum alpha 0.3 and 3 and classical alpha 0.3, none of which certifies."""
+    pmf = tmp_path / "pmf.csv"
+    pmf.write_text("0.4,0.1\n0.1,0.4\n")
+    return [
+        [str(state_file), "--alpha", "0.3"],
+        [str(state_file), "--alpha", "3"],
+        [str(pmf), "--mode", "classical", "--alpha", "0.3"],
+    ]
+
+
 class TestMain:
     def test_product_run_exit_zero(self, product_file, tmp_path, capsys):
         out = tmp_path / "trace.json"
@@ -119,28 +130,23 @@ class TestMain:
         assert set(record) == {"n", "x_n", "eps_n", "q_n", "wall_ms"}
         assert "final_x" in capsys.readouterr().out or True
 
-    def test_out_of_range_alpha_rejected(self, correlated_file, tmp_path):
+    def test_out_of_range_alpha_rejected(self, correlated_file, tmp_path, capsys):
         out = tmp_path / "trace.json"
-        code = main([str(correlated_file), "--alpha", "0.3", "--trace-out", str(out)])
-        assert code == EXIT_INVALID
+        for argv in _orders_without_certificate(correlated_file, tmp_path):
+            code = main(argv + ["--trace-out", str(out)])
+            assert code == EXIT_INVALID
+            assert "--uncertified" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_uncertified_flag_allows_exploration(self, correlated_file, tmp_path):
         out = tmp_path / "trace.json"
-        code = main(
-            [
-                str(correlated_file),
-                "--alpha",
-                "0.3",
-                "--uncertified",
-                "--max-iter",
-                "20",
-                "--trace-out",
-                str(out),
-            ]
-        )
-        assert code == EXIT_NO_CERTIFICATE
-        doc = json.loads(out.read_text())
-        assert len(doc["records"]) == 21
+        for argv in _orders_without_certificate(correlated_file, tmp_path):
+            code = main(argv + ["--uncertified", "--max-iter", "20", "--trace-out", str(out)])
+            assert code == EXIT_NO_CERTIFICATE
+            doc = json.loads(out.read_text())
+            assert len(doc["records"]) == 21
+            assert all(r["eps_n"] is None for r in doc["records"])
+            out.unlink()
 
     def test_sweep_writes_two_files(self, product_file, tmp_path):
         out = tmp_path / "sweep.json"

@@ -121,6 +121,31 @@ class TestDH:
 
 
 class TestSpectralBound:
+    def test_two_eigh(self, rng, monkeypatch):
+        s = random_density(3, rng)
+        t = random_density(3, rng)
+        calls = Counter()
+        for name in ("eigh", "eigvalsh"):
+
+            def counted(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        assert math.isfinite(d_h_bound_from_spectra(s, t))
+        assert calls == {"eigh": 2}
+
+    def test_rank_deficient_pair_and_zero(self, rng):
+        s = random_density(3, rng, rank=2)
+        w = np.linalg.eigvalsh(s.entries)
+        assert d_h_bound_from_spectra(s, s) == pytest.approx(-2 * math.log(w[1]), rel=1e-12)
+        zero = HermitianOperator.diagonal([0.0, 0.0, 0.0])
+        with pytest.raises(ZeroOperator):
+            d_h_bound_from_spectra(zero, zero)
+        for x, y in ((zero, s), (s, zero)):
+            with pytest.raises(SupportMismatch):
+                d_h_bound_from_spectra(x, y)
+
     def test_uniform_pair(self):
         u = HermitianOperator.from_entries(np.eye(2) / 2)
         assert d_h_bound_from_spectra(u, u) == pytest.approx(2 * math.log(2), abs=1e-12)

@@ -6,9 +6,13 @@ import pytest
 from conftest import maximally_correlated, random_product_state, random_state
 from prmi import (
     DEFAULT_CUT,
+    AmConfig,
     HermitianOperator,
     UnsupportedOrder,
     d_alpha,
+    d_alpha_classical,
+    grid_min_classical,
+    grid_min_quantum_qubit,
     partial_min_sigma,
     partial_min_tau,
     q_alpha,
@@ -20,6 +24,35 @@ from prmi.am_engine import _AmRun, _restricted_pairs
 from prmi.petz_divergence import DomainViolation, product_operator
 
 ALPHAS = [0.6, 0.75, 0.9, 1.5, 2.0]
+
+
+class TestOrderRule:
+    """Every entry point applies the one order rule, alpha > 0 and alpha != 1."""
+
+    @staticmethod
+    def _entry_points(rng):
+        rho = random_state(2, 2, rng)
+        op = random_density(2, rng)
+        p = [[0.4, 0.1], [0.1, 0.4]]
+        return [
+            lambda a: AmConfig(alpha=a),
+            lambda a: d_alpha(op, op, a),
+            lambda a: d_alpha_classical([0.5, 0.5], [0.5, 0.5], a),
+            lambda a: grid_min_classical(p, a, 0.1),
+            lambda a: grid_min_quantum_qubit(rho, a, 0.1),
+        ]
+
+    def test_alpha_one_is_an_unsupported_order(self, rng):
+        assert issubclass(UnsupportedOrder, ValueError)
+        for call in self._entry_points(rng):
+            with pytest.raises(UnsupportedOrder):
+                call(1.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, math.nan])
+    def test_nonpositive_order_rejected(self, rng, alpha):
+        for call in self._entry_points(rng):
+            with pytest.raises(ValueError):
+                call(alpha)
 
 
 class TestQAlpha:
