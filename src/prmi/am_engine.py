@@ -59,10 +59,18 @@ which read them off a stepper of either kind through ``sigma0_min``,
 half-step when it is built.  Which order gets which certificate is decided in
 one place, ``_certificate``: linear on (1, ``linear_max``] of the stepper
 (2 for ``_AmRun``, every order above one for the classical stepper),
-sublinear on (1/2, 1), and ``NoCertificate`` elsewhere.  Each quantum
-half-step's eigendecomposition goes through ``operator_core.support_eigh``,
-the one cutoff eigendecomposition; the classical stepper applies the same
-cutoff rule, ``support_mask``, to vectors.
+sublinear on (1/2, 1), and ``NoCertificate`` elsewhere.  It is decided from
+the stepper's class before the run is set up, so an order without a
+certificate costs no set-up.  Each quantum half-step's eigendecomposition
+goes through ``operator_core.support_eigh``, the one cutoff
+eigendecomposition; the classical stepper applies the same cutoff rule,
+``support_mask``, to vectors.
+
+The trace ``_drive`` returns keeps the final eigenpairs (the final PMFs of a
+classical run) behind two builders from ``run.operators()``:
+``final_sigma_a`` and ``final_tau_b`` are built on first access, bit for bit
+as the stepper would build them, and the stepper itself, with its rho^alpha
+matrix, is freed when ``_drive`` returns.
 
 Set-up.  What a solve needs from the state alone is decomposed once per
 ``BipartiteState`` and cached on it: the spectrum of rho, from which each
@@ -75,13 +83,26 @@ decomposition; a uniform or explicit initializer is compressed to that
 support at r x r (r its rank), factored once and rotated back.
 Per order there remains the rho^alpha contraction matrix and the
 certificate's constants.
+
+Per step.  At desk sizes numpy's per-call overhead, not LAPACK, is most of a
+step, so the steppers keep the number of numpy calls down without changing
+what is decomposed.  A solve takes 2 + 2n ``eigh`` and n ``eigvalsh`` with
+the linear certificate, 3 + 2n ``eigh`` with the sublinear one.  Each
+quantum half-step forms its gemv operand as the transposed power
+S^T = conj(V) diag(lam^(1-alpha)) V^T, which is C-contiguous and flattens
+without a copy, and the exponents 1 - alpha and 1/alpha and the factor
+alpha/(alpha-1) are fixed at set-up.  The step distance whitens the
+``_overlap`` factor of the new sigma and reads the dominance trace as its
+squared Frobenius norm (``hilbert_metric.whitened_distance``).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -166,16 +187,32 @@ class TraceRecord:
 
 @dataclass
 class ConvergenceTrace:
-    """Per-iteration record of one run plus the final iterates."""
+    """Per-iteration record of one run plus the final iterates.
+
+    ``final_sigma_a`` and ``final_tau_b`` are built on first access, by the
+    two builders in ``_finals``, from the final eigenpairs (the final PMFs of
+    a classical run); a sweep that reads only values never builds them.  The
+    builders hold those arrays and nothing else, so a trace keeps no stepper,
+    and with it no rho^alpha matrix, alive.
+    """
 
     alpha: float
     records: list[TraceRecord]
     final_x: float
-    final_sigma_a: HermitianOperator
-    final_tau_b: HermitianOperator
     terminated_by: str
+    _finals: tuple[Callable[[], HermitianOperator], Callable[[], HermitianOperator]] = field(
+        repr=False, compare=False
+    )
     sigma_states: list[HermitianOperator] | None = None
     tau_states: list[HermitianOperator] | None = None
+
+    @cached_property
+    def final_sigma_a(self) -> HermitianOperator:
+        return self._finals[0]()
+
+    @cached_property
+    def final_tau_b(self) -> HermitianOperator:
+        return self._finals[1]()
 
     @property
     def x_values(self) -> np.ndarray:
@@ -267,15 +304,29 @@ def _factor(mat: np.ndarray, cut: SupportCutoff) -> tuple[np.ndarray, np.ndarray
     return vals, vecs
 
 
+def _power(vals: np.ndarray, vecs: np.ndarray, p: float) -> np.ndarray:
+    """V diag(vals^p) V^dag from support eigenpairs."""
+    return (vecs * vals**p) @ vecs.conj().T
+
+
+def _operator(vals: np.ndarray, vecs: np.ndarray) -> HermitianOperator:
+    return HermitianOperator._wrap(_power(vals, vecs, 1.0))
+
+
 class _AmRun:
     """Mutable state of one run; caches rho^alpha as one gemv matrix and the eigenfactors.
 
     States are carried as (support eigenvalues, eigenvector block) pairs so
     each half-step costs one gemv and one small eigendecomposition; the
-    objective value comes from the closed form for the partial minimum.
-    ``sigma0`` is the restricted initializer in that form (``_initial_sigma``);
-    the run is built half-stepped, with tau, x and q of sigma0.  The maps
-    contract d_H for orders in (1, ``linear_max``].
+    objective value comes from the closed form for the partial minimum.  The
+    gemv operand is the transposed power S^T = conj(V) diag(lam^(1-alpha)) V^T,
+    built as such, so it is C-contiguous and flattens without a copy; the
+    exponents 1 - alpha, 1/alpha and the factor alpha/(alpha-1) are fixed at
+    set-up.  ``sigma0`` is the restricted initializer in that form
+    (``_initial_sigma``); the run is built half-stepped, with tau, x and q of
+    sigma0.  The maps contract d_H for orders in (1, ``linear_max``].
+    Operators are built only on request (``sigma_op``, ``tau_op``, and
+    ``operators`` for the trace's final ones).
     """
 
     linear_max = 2.0
@@ -291,6 +342,9 @@ class _AmRun:
         self.cut = cut
         self.d_a = rho_ab.d_a
         self.d_b = rho_ab.d_b
+        self._dual = 1.0 - alpha
+        self._inv = 1.0 / alpha
+        self._x_scale = alpha / (alpha - 1.0)
         r4 = _rho_alpha_tensor(rho_ab, alpha, cut)
         # m[(a, c), (b, d)] = r4[a, b, c, d], so each half-step is a gemv from one side.
         self.m = r4.transpose(0, 2, 1, 3).reshape(self.d_a**2, self.d_b**2)
@@ -299,29 +353,28 @@ class _AmRun:
         self.prev_sigma: tuple[np.ndarray, np.ndarray] | None = None
         self.a_to_b()
 
-    @staticmethod
-    def _power(vals: np.ndarray, vecs: np.ndarray, p: float) -> np.ndarray:
-        return (vecs * vals**p) @ vecs.conj().T
+    def _dual_t(self, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+        """(V diag(vals^(1-alpha)) V^dag)^T, C-contiguous, as the flat gemv operand."""
+        return ((vecs.conj() * vals**self._dual) @ vecs.T).ravel()
 
     def a_to_b(self) -> None:
         """Update tau from sigma; refresh the objective via the closed form."""
-        s = self._power(self.sigma_vals, self.sigma_vecs, 1.0 - self.alpha)
-        w_mat = (s.T.ravel() @ self.m).reshape(self.d_b, self.d_b)
+        s_t = self._dual_t(self.sigma_vals, self.sigma_vecs)
+        w_mat = (s_t @ self.m).reshape(self.d_b, self.d_b)
         vals, vecs = _factor(w_mat, self.cut)
-        t = vals ** (1.0 / self.alpha)
-        ssum = float(np.sum(t))
+        t = vals**self._inv
+        ssum = float(t.sum())
         self.tau_vals = t / ssum
         self.tau_vecs = vecs
-        self.x = (self.alpha / (self.alpha - 1.0)) * math.log(ssum)
+        self.x = self._x_scale * math.log(ssum)
         self.q = ssum**self.alpha
 
     def b_to_a(self) -> None:
         """Update sigma from tau."""
-        t = self._power(self.tau_vals, self.tau_vecs, 1.0 - self.alpha)
-        w_mat = (self.m @ t.T.ravel()).reshape(self.d_a, self.d_a)
+        w_mat = (self.m @ self._dual_t(self.tau_vals, self.tau_vecs)).reshape(self.d_a, self.d_a)
         vals, vecs = _factor(w_mat, self.cut)
-        s = vals ** (1.0 / self.alpha)
-        self.sigma_vals = s / float(np.sum(s))
+        s = vals**self._inv
+        self.sigma_vals = s / float(s.sum())
         self.sigma_vecs = vecs
 
     def full_step(self) -> None:
@@ -332,22 +385,31 @@ class _AmRun:
     def step_distance(self) -> float:
         """d_H(sigma_{n-1}, sigma_n) plus the rounding floor; +inf when the support changed.
 
-        The new sigma is whitened in the previous one's eigenbasis, so the
-        distance costs one r x r product and one ``eigvalsh``.
+        The new sigma is whitened in the previous one's eigenbasis: one
+        r x r product gives the ``_overlap`` factor, and one ``eigvalsh``
+        the distance.  The conditioning kappa is taken in Python floats.
         """
         w_old, v_old = self.prev_sigma
-        compressed = _overlap(self.sigma_vals, self.sigma_vecs, v_old)
-        dist = whitened_distance(compressed, float(self.sigma_vals.sum()), w_old, self.cut)
-        k_s = max(w_old[-1] / w_old[0], self.sigma_vals[-1] / self.sigma_vals[0])
-        k_t = self.tau_vals[-1] / self.tau_vals[0]
-        kappa = float((k_s * k_t) ** (self.alpha - 1.0) * (k_s + k_t))
+        w_new, t = self.sigma_vals, self.tau_vals
+        factor = _overlap(w_new, self.sigma_vecs, v_old)
+        dist = whitened_distance(factor, float(w_new.sum()), w_old, self.cut)
+        k_s = max(float(w_old[-1]) / float(w_old[0]), float(w_new[-1]) / float(w_new[0]))
+        k_t = float(t[-1]) / float(t[0])
+        kappa = (k_s * k_t) ** (self.alpha - 1.0) * (k_s + k_t)
         return dist + step_floor(self.alpha, self.d_a + self.d_b, kappa)
 
+    def operators(self) -> tuple[Callable[[], HermitianOperator], Callable[[], HermitianOperator]]:
+        """Builders of the current sigma and tau operators; they hold eigenpairs, not the run."""
+        return (
+            partial(_operator, self.sigma_vals, self.sigma_vecs),
+            partial(_operator, self.tau_vals, self.tau_vecs),
+        )
+
     def sigma_op(self) -> HermitianOperator:
-        return HermitianOperator._wrap(self._power(self.sigma_vals, self.sigma_vecs, 1.0))
+        return _operator(self.sigma_vals, self.sigma_vecs)
 
     def tau_op(self) -> HermitianOperator:
-        return HermitianOperator._wrap(self._power(self.tau_vals, self.tau_vecs, 1.0))
+        return _operator(self.tau_vals, self.tau_vecs)
 
     def lambda_a(self) -> float:
         """Smallest supported eigenvalue of the A marginal of rho^alpha."""
@@ -500,17 +562,19 @@ def _no_certificate(n: int, x_prev: float, x: float) -> None:
     return None
 
 
-def _certificate(run):
-    """The certificate for a fresh stepper's order: the one order-to-certificate rule.
+def _certificate(stepper: type, alpha: float):
+    """The certificate at one order for a kind of stepper: the one order-to-certificate rule.
 
-    Linear for 1 < alpha <= ``run.linear_max``, the orders on which the maps
-    contract d_H; sublinear for 1/2 < alpha < 1; ``NoCertificate`` otherwise.
+    Linear for 1 < alpha <= ``stepper.linear_max``, the orders on which the
+    maps contract d_H; sublinear for 1/2 < alpha < 1; ``NoCertificate``
+    otherwise.  The rule is decided before any run is set up; it returns a
+    function that takes the fresh stepper and gives its ``eps_at``.
     """
-    alpha, top = run.alpha, run.linear_max
+    top = stepper.linear_max
     if 1.0 < alpha <= top:
-        return _linear_certificate(run, _linear_start(run))
+        return lambda run: _linear_certificate(run, _linear_start(run))
     if 0.5 < alpha < 1.0:
-        return _sublinear_certificate(_sublinear_start(run).c0)
+        return lambda run: _sublinear_certificate(_sublinear_start(run).c0)
     raise NoCertificate(
         f"certified runs require 1/2 < alpha < 1 or 1 < alpha <= {top:g}, got {alpha}"
     )
@@ -522,7 +586,8 @@ def _drive(run, eps_at, config: AmConfig, max_iter: int, t_start: float) -> Conv
     ``run`` arrives half-stepped, as every stepper is built.  Each pass
     records iteration n (plus the states when ``config.record_states``), stops
     on the certificate once eps_n < eps0, else on the cap once n >= max_iter,
-    else takes a full step.
+    else takes a full step.  The trace gets the stepper's final operator
+    builders (``run.operators()``), not the stepper.
     """
     records: list[TraceRecord] = []
     sigmas: list[HermitianOperator] | None = [] if config.record_states else None
@@ -547,9 +612,8 @@ def _drive(run, eps_at, config: AmConfig, max_iter: int, t_start: float) -> Conv
         alpha=config.alpha,
         records=records,
         final_x=run.x,
-        final_sigma_a=run.sigma_op(),
-        final_tau_b=run.tau_op(),
         terminated_by=terminated,
+        _finals=run.operators(),
         sigma_states=sigmas,
         tau_states=taus,
     )
@@ -563,8 +627,10 @@ def _certified(
         side = "above" if above_one else "below"
         raise NoCertificate(f"{name} takes orders {side} one, got {config.alpha}")
     t_start = time.perf_counter()
-    run = _AmRun(rho_ab, config.alpha, config.cut, _initial_sigma(rho_ab, config))
-    return _drive(run, _certificate(run), config, config.max_iter, t_start)
+    sigma0 = _initial_sigma(rho_ab, config)
+    certify = _certificate(_AmRun, config.alpha)
+    run = _AmRun(rho_ab, config.alpha, config.cut, sigma0)
+    return _drive(run, certify(run), config, config.max_iter, t_start)
 
 
 def algorithm1(rho_ab: BipartiteState, config: AmConfig) -> ConvergenceTrace:

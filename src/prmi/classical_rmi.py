@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -121,9 +122,7 @@ def _validated_joint(p) -> np.ndarray:
 
 def _pow_on(v: np.ndarray, mask: np.ndarray, p: float) -> np.ndarray:
     """``v ** p`` on ``mask``, zero elsewhere."""
-    out = np.zeros_like(v)
-    out[mask] = v[mask] ** p
-    return out
+    return np.power(v, p, out=np.zeros_like(v), where=mask)
 
 
 def d_alpha_classical(p, q, alpha: float) -> float:
@@ -226,7 +225,8 @@ class _ClassicalRun:
     cutoff on w itself would drop supported points once alpha is large,
     since the range of w grows like the range of P to the power alpha.
     The run is built half-stepped, and the maps contract d_H at every order
-    above one.
+    above one.  As in ``_AmRun``, the exponents 1 - alpha and 1/alpha and the
+    factor alpha/(alpha-1) are fixed at set-up.
     """
 
     linear_max = math.inf
@@ -234,6 +234,9 @@ class _ClassicalRun:
     def __init__(self, P: np.ndarray, alpha: float, cut: SupportCutoff, q0: np.ndarray) -> None:
         self.alpha = alpha
         self.cut = cut
+        self._dual = 1.0 - alpha
+        self._inv = 1.0 / alpha
+        self._x_scale = alpha / (alpha - 1.0)
         self.wa = _pow_on(P, support_mask(P, cut), alpha)
         self.supp_x = self.wa.sum(axis=1) > 0
         self.supp_y = self.wa.sum(axis=0) > 0
@@ -244,7 +247,7 @@ class _ClassicalRun:
 
     def _root(self, w: np.ndarray, supp: np.ndarray) -> tuple[np.ndarray, float]:
         """w^(1/alpha) on the marginal support ``supp``, normalized, and its prior mass."""
-        t = _pow_on(w, supp, 1.0 / self.alpha)
+        t = _pow_on(w, supp, self._inv)
         s = float(t.sum())
         if s <= 0:
             raise DomainViolation("iterate collapsed to zero")
@@ -252,14 +255,14 @@ class _ClassicalRun:
 
     def a_to_b(self) -> None:
         """Update r from q; refresh the objective via the closed form."""
-        w = _pow_on(self.q_x, self.q_x > 0, 1.0 - self.alpha) @ self.wa
+        w = _pow_on(self.q_x, self.q_x > 0, self._dual) @ self.wa
         self.r_y, s = self._root(w, self.supp_y)
-        self.x = (self.alpha / (self.alpha - 1.0)) * math.log(s)
+        self.x = self._x_scale * math.log(s)
         self.q = s**self.alpha
 
     def b_to_a(self) -> None:
         """Update q from r."""
-        w = self.wa @ _pow_on(self.r_y, self.r_y > 0, 1.0 - self.alpha)
+        w = self.wa @ _pow_on(self.r_y, self.r_y > 0, self._dual)
         self.q_x = self._root(w, self.supp_x)[0]
 
     def full_step(self) -> None:
@@ -275,6 +278,11 @@ class _ClassicalRun:
         ratio = self.q_x[supp] / self.prev_q[supp]
         dist = spread_distance(ratio.max(), ratio.min(), self.cut.rel_tol)
         return dist + step_floor(self.alpha, self.q_x.size + self.r_y.size, 1.0)
+
+    def operators(self):
+        """Builders of the current q and r as diagonal operators; they hold PMFs, not the run."""
+        diagonal = HermitianOperator.diagonal
+        return partial(diagonal, self.q_x), partial(diagonal, self.r_y)
 
     def sigma_op(self) -> HermitianOperator:
         return HermitianOperator.diagonal(self.q_x)
@@ -324,8 +332,10 @@ def algorithm_classical(p_xy, config: AmConfig) -> ConvergenceTrace:
     """
     P = _validated_joint(p_xy)
     t_start = time.perf_counter()
-    run = _ClassicalRun(P, config.alpha, config.cut, _initial_q(P, config))
-    return _drive(run, _certificate(run), config, config.max_iter, t_start)
+    q0 = _initial_q(P, config)
+    certify = _certificate(_ClassicalRun, config.alpha)
+    run = _ClassicalRun(P, config.alpha, config.cut, q0)
+    return _drive(run, certify(run), config, config.max_iter, t_start)
 
 
 def run_uncertified_classical(p_xy, config: AmConfig, num_iter: int) -> ConvergenceTrace:

@@ -5,12 +5,13 @@ projective distance d_H(X, Y) = log(M(X/Y) M(Y/X)) drive the linear-rate
 certificate; +inf is returned whenever the supports do not match.
 
 Both come from the support eigenpairs of the two arguments: X's support part
-compressed to supp Y (C = V^dag X V, ``operator_core._overlap_pair``) is
-whitened by Y's support eigenvalues, and the whitened spectrum lam gives
-M(X/Y) = max lam and, on equal supports, d_H = log(max lam / min lam).  X << Y
-is ``operator_core._dominated`` on tr C, and Y << X holds when every whitened
-eigenvalue is above the cutoff; d_H is symmetric at the cutoff.  For vectors
-the whitened spectrum is the ratio P/Q.
+compressed to supp Y (C = V^dag X V = B B^dag, ``operator_core._overlap_pair``
+gives the factor B) is whitened by Y's support eigenvalues, and the whitened
+spectrum lam gives M(X/Y) = max lam and, on equal supports,
+d_H = log(max lam / min lam).  X << Y is ``operator_core._dominated`` on
+tr C = ||B||_F^2, and Y << X holds when every whitened eigenvalue is above the
+cutoff; d_H is symmetric at the cutoff.  For vectors the whitened spectrum is
+the ratio P/Q.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .operator_core import (
     SupportCutoff,
     ZeroOperator,
     _dominated,
+    _inside,
     _overlap_pair,
 )
 
@@ -36,10 +38,10 @@ class SupportMismatch(Exception):
     """Arguments were required to have equal supports but do not."""
 
 
-def _whitened_eigvals(compressed: np.ndarray, wy: np.ndarray) -> np.ndarray:
-    """Ascending spectrum of Y^(-1/2) X Y^(-1/2) on supp Y."""
-    inv_sqrt = 1.0 / np.sqrt(wy)
-    return np.linalg.eigvalsh(inv_sqrt[:, None] * compressed * inv_sqrt)
+def _whitened_eigvals(factor: np.ndarray, wy: np.ndarray) -> np.ndarray:
+    """Ascending spectrum of Y^(-1/2) X Y^(-1/2) on supp Y: that of K K^dag, K = Y^(-1/2) B."""
+    k = factor / np.sqrt(wy)[:, None]
+    return np.linalg.eigvalsh(k @ k.conj().T)
 
 
 def spread_distance(top: float, low: float, rel_tol: float) -> ProjectiveDistance:
@@ -55,19 +57,19 @@ def spread_distance(top: float, low: float, rel_tol: float) -> ProjectiveDistanc
 
 
 def whitened_distance(
-    compressed: np.ndarray, mass: float, wy: np.ndarray, cut: SupportCutoff
+    factor: np.ndarray, mass: float, wy: np.ndarray, cut: SupportCutoff
 ) -> ProjectiveDistance:
     """d_H(X, Y) from Y's support eigenvalues ``wy`` and X compressed to supp Y.
 
-    ``compressed`` is V^dag X V for Y's support eigenvectors V and ``mass`` is
-    tr X.  One ``eigvalsh`` of the r x r whitened compression gives both the
-    distance and the check Y << X; X << Y is read off the traces.  +inf when
-    either support check fails.
+    ``factor`` is the ``_overlap`` factor B, with B B^dag = V^dag X V for Y's
+    support eigenvectors V, and ``mass`` is tr X.  One ``eigvalsh`` of the
+    r x r whitened compression gives both the distance and the check Y << X;
+    X << Y is read off the traces.  +inf when either support check fails.
     """
-    if not _dominated(float(compressed.trace().real), mass, cut):
+    if not _dominated(_inside(factor), mass, cut):
         return math.inf
-    lam = _whitened_eigvals(compressed, wy)
-    return spread_distance(lam[-1], lam[0], cut.rel_tol)
+    lam = _whitened_eigvals(factor, wy)
+    return spread_distance(float(lam[-1]), float(lam[0]), cut.rel_tol)
 
 
 def m_ratio(
@@ -78,12 +80,12 @@ def m_ratio(
     X's support part is compressed to the support of Y before inverting, so the
     value is well-defined under the cutoff whenever the dominance check passes.
     """
-    wx, wy, compressed = _overlap_pair(x, y, cut)
+    wx, wy, factor = _overlap_pair(x, y, cut)
     if not wy.size:
         raise ZeroOperator("M(X/Y) undefined for Y = 0")
-    if not _dominated(float(compressed.trace().real), float(wx.sum()), cut):
+    if not _dominated(_inside(factor), float(wx.sum()), cut):
         return math.inf
-    return float(np.max(np.abs(_whitened_eigvals(compressed, wy))))
+    return float(np.max(np.abs(_whitened_eigvals(factor, wy))))
 
 
 def d_h(
@@ -93,10 +95,10 @@ def d_h(
 
     One ``support_eigh`` per argument and one ``eigvalsh`` (:func:`whitened_distance`).
     """
-    wx, wy, compressed = _overlap_pair(x, y, cut)
+    wx, wy, factor = _overlap_pair(x, y, cut)
     if not wy.size:
         return 0.0 if not wx.size else math.inf
-    return whitened_distance(compressed, float(wx.sum()), wy, cut)
+    return whitened_distance(factor, float(wx.sum()), wy, cut)
 
 
 def d_h_bound_from_spectra(
@@ -108,8 +110,8 @@ def d_h_bound_from_spectra(
     off one :func:`operator_core._overlap_pair` (two ``support_eigh``): the
     supports are equal when sigma << tau and the ranks agree.
     """
-    ws, wt, compressed = _overlap_pair(sigma, tau, cut)
-    if ws.size != wt.size or not _dominated(float(compressed.trace().real), float(ws.sum()), cut):
+    ws, wt, factor = _overlap_pair(sigma, tau, cut)
+    if ws.size != wt.size or not _dominated(_inside(factor), float(ws.sum()), cut):
         raise SupportMismatch("spectral bound requires equal supports")
     if not ws.size:
         raise ZeroOperator("operator vanishes at the cutoff")

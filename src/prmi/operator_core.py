@@ -4,13 +4,14 @@ Everything downstream (divergences, projective metric, iteration maps) is
 built on eigendecompositions of small dense Hermitian matrices.  Powers of
 positive semidefinite operators are always taken on the support: eigenvalues
 below a relative cutoff count as kernel and map to zero.  That rule lives in
-``support_mask``, and ``support_eigh`` is the one eigendecomposition that
-applies it (through ``support_pairs``, which also serves eigenpairs a
-caller already holds).
+``_supported`` (``support_mask`` applies it to arrays), and ``support_eigh``
+is the one eigendecomposition that applies it (through ``support_pairs``,
+which also serves eigenpairs a caller already holds).
 
 Every support relation is read off those eigenpairs by one kernel,
-``_overlap`` (X's support part compressed to supp Y), and its trace against
-tr X: X << Y by ``_dominated``, X ⊥ Y by ``_orthogonal``.
+``_overlap`` (the factor B of X's support part compressed to supp Y, C = B
+B^dag), and the trace of C, ``_inside(B)``, against tr X: X << Y by
+``_dominated``, X ⊥ Y by ``_orthogonal``.
 """
 
 from __future__ import annotations
@@ -131,16 +132,23 @@ def eig_hermitian(x: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
+def _supported(value, top: float, cut: SupportCutoff):
+    """The support rule: ``value`` (a number or an array) is above ``cut.rel_tol`` times ``top``.
+
+    ``top`` is the largest value; nothing is supported when it is not positive.
+    """
+    return value > cut.rel_tol * max(top, 0.0)
+
+
 def support_mask(values: np.ndarray, cut: SupportCutoff, top: float | None = None) -> np.ndarray:
-    """The support rule: entries above ``cut.rel_tol`` times the largest one.
+    """The entries of ``values`` in the support (:func:`_supported`).
 
     ``top`` is the largest entry when the caller already holds it (the last
     value of an ascending spectrum); otherwise it is read from ``values``.
-    Nothing is in the support when no entry is positive.
     """
     if top is None:
         top = float(values.max(initial=0.0))
-    return values > cut.rel_tol * max(top, 0.0)
+    return _supported(values, top, cut)
 
 
 def support_pairs(
@@ -149,16 +157,17 @@ def support_pairs(
     """The support part of ascending eigenpairs ``(w, v)`` of a PSD matrix.
 
     A clearly negative eigenvalue (relative to the spectral radius) is
-    rejected since every caller requires a PSD argument.  When every
-    eigenvalue is in the support the arrays are returned as given, not
-    copied; the zero matrix gives empty arrays.
+    rejected since every caller requires a PSD argument.  When the smallest
+    eigenvalue is in the support, so is every other, and the arrays are
+    returned as given, not copied, with no mask built; the zero matrix gives
+    empty arrays.
     """
     lo, hi = float(w[0]), float(w[-1])
     if lo < -1e-8 * max(hi, -lo):
         raise InvalidOperator(f"operator is not PSD: min eigenvalue {lo:.3e}")
-    mask = support_mask(w, cut, hi)
-    if mask[0]:
+    if _supported(lo, hi, cut):
         return w, v
+    mask = _supported(w, hi, cut)
     return w[mask], v[:, mask]
 
 
@@ -225,18 +234,24 @@ def min_nonzero_eig(x: HermitianOperator, cut: SupportCutoff = DEFAULT_CUT) -> f
 
 
 def _overlap(wx: np.ndarray, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
-    """C = B diag(wx) B^dag, B = vy^dag vx: X's support part (wx, vx) compressed to span vy.
+    """The factor B = (vy^dag vx) diag(sqrt wx) of X's support part (wx, vx) compressed to span vy.
 
-    X compressed to the complement is PSD of trace tr X - tr C.
+    The compression is C = B B^dag, never formed: its trace is
+    ``_inside(B)`` = ||B||_F^2, and X compressed to the complement is PSD of
+    trace tr X - tr C.
     """
-    b = (vy.conj().T @ vx) * np.sqrt(wx)
-    return b @ b.conj().T
+    return (vy.conj().T @ vx) * np.sqrt(wx)
+
+
+def _inside(b: np.ndarray) -> float:
+    """tr B B^dag = ||B||_F^2: the trace of X inside span vy for B = :func:`_overlap`."""
+    return float(np.vdot(b, b).real)
 
 
 def _overlap_pair(
     x: HermitianOperator, y: HermitianOperator, cut: SupportCutoff
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """X's and Y's support eigenvalues and :func:`_overlap` of the two (two ``support_eigh``)."""
+    """X's and Y's support eigenvalues and their :func:`_overlap` factor (two ``support_eigh``)."""
     if x.dim != y.dim:
         raise DimMismatch(f"dims differ: {x.dim} vs {y.dim}")
     wx, vx = support_eigh(x.entries, cut)
@@ -262,7 +277,7 @@ def support_relation(
     X ~ Y when X << Y and both supports have the same rank (both zero included).
     """
     wx, wy, overlap = _overlap_pair(x, y, cut)
-    mass, inside = float(wx.sum()), float(overlap.trace().real)
+    mass, inside = float(wx.sum()), _inside(overlap)
     if _dominated(inside, mass, cut):
         return SupportRelation.EQUAL_SUPPORT if wx.size == wy.size else SupportRelation.DOMINATED
     if _orthogonal(inside, mass, cut):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -41,7 +42,7 @@ from prmi import (
     spectrum_floors,
     sublinear_constants,
 )
-from prmi import am_engine
+from prmi import am_engine, classical_rmi
 from prmi.am_engine import (
     NotStrictlyPositive,
     _AmRun,
@@ -107,13 +108,13 @@ class TestHalfStepKernel:
         assert np.max(np.abs(run.sigma_op().entries - n_b_to_a(rho, tau, alpha).entries)) <= 1e-12
 
 
-def _count_decompositions(monkeypatch) -> Counter:
-    """Count ``np.linalg.eigh``/``eigvalsh`` calls by matrix shape."""
+def _count_decompositions(monkeypatch, by_name: bool = False) -> Counter:
+    """Count ``np.linalg.eigh``/``eigvalsh`` calls by matrix shape, or by function name."""
     calls = Counter()
     for name in ("eigh", "eigvalsh"):
 
-        def counted(a, *args, _real=getattr(np.linalg, name), **kwargs):
-            calls[np.shape(a)] += 1
+        def counted(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls[_name if by_name else np.shape(a)] += 1
             return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
@@ -456,6 +457,90 @@ class TestCertificateRule:
     def test_classical_orders_without_a_certificate(self, rng, alpha):
         with pytest.raises(NoCertificate):
             algorithm_classical(random_pmf((2, 3), rng), AmConfig(alpha=alpha))
+
+
+def _spy_on_drive(monkeypatch, record):
+    """Pass every stepper that reaches ``_drive`` to ``record`` first."""
+    real = am_engine._drive
+
+    def spy(run, *args):
+        record(run)
+        return real(run, *args)
+
+    monkeypatch.setattr(am_engine, "_drive", spy)
+    monkeypatch.setattr(classical_rmi, "_drive", spy)
+
+
+class TestSolvePathCost:
+    """What one solve decomposes, and what its trace keeps."""
+
+    def test_algorithm1_decompositions(self, rng, monkeypatch):
+        rho = random_state(3, 2, rng)
+        rho.marginal_spectrum  # cached on the state, outside every solve
+        calls = _count_decompositions(monkeypatch, by_name=True)
+        trace = algorithm1(rho, AmConfig(alpha=2.0, eps0=1e-10))
+        n = trace.iterations
+        assert trace.terminated_by == "certificate" and n >= 3
+        # first half-step and lambda_A; two half-steps and one step distance per step
+        assert calls == {"eigh": 2 + 2 * n, "eigvalsh": n}
+
+    def test_algorithm2_decompositions(self, rng, monkeypatch):
+        rho = random_state(2, 3, rng)
+        rho.marginal_spectrum
+        calls = _count_decompositions(monkeypatch, by_name=True)
+        trace = algorithm2(rho, AmConfig(alpha=0.75, eps0=1e-6))
+        n = trace.iterations
+        assert trace.terminated_by == "certificate" and n >= 3
+        # first half-step, lambda_A and lambda_B; two half-steps per step
+        assert calls == {"eigh": 3 + 2 * n}
+
+    SOLVES = {
+        "algorithm1": lambda rng: algorithm1(random_state(2, 3, rng), AmConfig(alpha=1.5)),
+        "algorithm2": lambda rng: algorithm2(random_state(3, 2, rng), AmConfig(alpha=0.75)),
+        "uncertified": lambda rng: run_uncertified(random_state(2, 2, rng), AmConfig(alpha=3.0), 5),
+        "classical": lambda rng: algorithm_classical(random_pmf((2, 3), rng), AmConfig(alpha=4.0)),
+    }
+
+    @pytest.mark.parametrize("solve", sorted(SOLVES))
+    def test_trace_keeps_no_stepper(self, rng, monkeypatch, solve):
+        refs = []
+        _spy_on_drive(monkeypatch, lambda run: refs.append(weakref.ref(run)))
+        trace = self.SOLVES[solve](rng)
+        assert len(refs) == 1
+        assert refs[0]() is None
+        assert trace.final_sigma_a.trace() == pytest.approx(1.0, abs=1e-12)
+        assert trace.final_tau_b.trace() == pytest.approx(1.0, abs=1e-12)
+
+    def test_quantum_final_operators_built_on_access_bit_for_bit(self, rng, monkeypatch):
+        runs, built = [], Counter()
+        _spy_on_drive(monkeypatch, runs.append)
+        real = am_engine._operator
+
+        def counted(vals, vecs):
+            built["operator"] += 1
+            return real(vals, vecs)
+
+        monkeypatch.setattr(am_engine, "_operator", counted)
+        trace = algorithm1(random_state(2, 3, rng), AmConfig(alpha=1.5))
+        (run,) = runs
+        assert built["operator"] == 0
+        for op, vals, vecs in (
+            (trace.final_sigma_a, run.sigma_vals, run.sigma_vecs),
+            (trace.final_tau_b, run.tau_vals, run.tau_vecs),
+        ):
+            expect = HermitianOperator._wrap(am_engine._power(vals, vecs, 1.0))
+            assert op.entries.tobytes() == expect.entries.tobytes()
+        assert built["operator"] == 2
+        assert trace.final_sigma_a is trace.final_sigma_a
+        assert built["operator"] == 2
+
+    def test_classical_final_operators_bit_for_bit(self, rng, monkeypatch):
+        runs = []
+        _spy_on_drive(monkeypatch, runs.append)
+        trace = algorithm_classical(random_pmf((3, 2), rng), AmConfig(alpha=2.0))
+        (run,) = runs
+        for op, pmf in ((trace.final_sigma_a, run.q_x), (trace.final_tau_b, run.r_y)):
+            assert op.entries.tobytes() == HermitianOperator.diagonal(pmf).entries.tobytes()
 
 
 class TestStepperStartsHalfStepped:

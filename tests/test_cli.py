@@ -1,10 +1,11 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import maximally_correlated, random_product_state, random_state
-from prmi import AmConfig, HermitianOperator, algorithm_classical
+from prmi import AmConfig, HermitianOperator, algorithm_classical, am_engine, classical_rmi
 from prmi.cli import (
     EXIT_INVALID,
     EXIT_IO,
@@ -147,6 +148,30 @@ class TestMain:
             assert len(doc["records"]) == 21
             assert all(r["eps_n"] is None for r in doc["records"])
             out.unlink()
+
+    def test_uncertified_run_is_set_up_once(self, correlated_file, tmp_path, monkeypatch):
+        """An order without a certificate builds its stepper once, for the plain run only."""
+        setups = Counter()
+        real_tensor = am_engine._rho_alpha_tensor
+
+        def tensor(*args):
+            setups["quantum"] += 1
+            return real_tensor(*args)
+
+        class CountedRun(classical_rmi._ClassicalRun):
+            def __init__(self, *args):
+                setups["classical"] += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr(am_engine, "_rho_alpha_tensor", tensor)
+        monkeypatch.setattr(classical_rmi, "_ClassicalRun", CountedRun)
+        out = tmp_path / "trace.json"
+        argvs = _orders_without_certificate(correlated_file, tmp_path)
+        for argv, kind in zip(argvs, ("quantum", "quantum", "classical")):
+            setups.clear()
+            code = main(argv + ["--uncertified", "--max-iter", "5", "--trace-out", str(out)])
+            assert code == EXIT_NO_CERTIFICATE
+            assert setups == {kind: 1}
 
     def test_sweep_writes_two_files(self, product_file, tmp_path):
         out = tmp_path / "sweep.json"
