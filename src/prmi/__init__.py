@@ -22,8 +22,6 @@ from .am_engine import (
     contraction_probe,
     kappa_estimate,
     linear_constants,
-    n_a_to_b,
-    n_b_to_a,
     restrict_initializer,
     run_uncertified,
     spectrum_floors,

@@ -9,19 +9,21 @@ One vector stepper, ``_ClassicalRun``, implements the classical half-step for
 every entry point: the maps ``n_x_to_y``/``n_y_to_x``, ``algorithm_classical``
 at both certificates, and ``run_uncertified_classical``.  It is the quantum
 stepper on the diagonal state ``cc_embed(P)``, so the quantum certificates
-hold for it as they stand; their constants come from the shared
-``am_engine`` start helpers.  The support cutoff acts at set-up, on P and on
+hold for it as they stand.  The two solves hand it to ``am_engine._solve``,
+the body of every iterating entry point, which takes its initializer
+(``_ClassicalRun.initial``), asks the order rule, builds it and drives it;
+``classical_linear_constants`` reads its constants through
+``am_engine._constants``.  The support cutoff acts at set-up, on P and on
 the initial q, and each half-step keeps the supports of the marginals fixed
-there, which is what the iteration preserves in exact arithmetic.
-The linear certificate holds at every order above one
-(``_ClassicalRun.linear_max``), and ``am_engine._certificate`` picks it.
-``cc_embed`` stays as the reference the tests compare against.
+there, which is what the iteration preserves in exact arithmetic.  The
+linear certificate holds at every order above one
+(``_ClassicalRun.linear_max``).  ``cc_embed`` stays as the reference the
+tests compare against.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from functools import partial
 
@@ -33,10 +35,9 @@ from .am_engine import (
     LinearConstants,
     NotStrictlyPositive,
     OrthogonalInitializer,
-    _certificate,
-    _drive,
-    _linear_start,
-    _no_certificate,
+    _constants,
+    _initializer,
+    _solve,
     step_floor,
 )
 from .hilbert_metric import spread_distance
@@ -231,6 +232,13 @@ class _ClassicalRun:
 
     linear_max = math.inf
 
+    @staticmethod
+    def initial(P: np.ndarray, config: AmConfig) -> np.ndarray:
+        """The restricted initial q: the X marginal p_x, or ``config``'s initializer's diagonal."""
+        p_x = P.sum(axis=1)
+        raw = _initializer(config, p_x.size)
+        return _restrict_pmf(p_x if raw is None else np.diag(raw.entries).real, p_x, config.cut)
+
     def __init__(self, P: np.ndarray, alpha: float, cut: SupportCutoff, q0: np.ndarray) -> None:
         self.alpha = alpha
         self.cut = cut
@@ -284,12 +292,6 @@ class _ClassicalRun:
         diagonal = HermitianOperator.diagonal
         return partial(diagonal, self.q_x), partial(diagonal, self.r_y)
 
-    def sigma_op(self) -> HermitianOperator:
-        return HermitianOperator.diagonal(self.q_x)
-
-    def tau_op(self) -> HermitianOperator:
-        return HermitianOperator.diagonal(self.r_y)
-
     def lambda_a(self) -> float:
         """Smallest nonzero row sum of P^alpha (the A marginal of rho^alpha)."""
         return float(self.wa.sum(axis=1)[self.supp_x].min())
@@ -300,25 +302,13 @@ class _ClassicalRun:
 
 
 def classical_linear_constants(p_xy, q0_pmf, alpha: float) -> LinearConstants:
-    """Classical analogue of the linear-rate stopping constants, valid for alpha > 1."""
-    if not alpha > 1.0:
-        raise ValueError(f"classical linear constants require alpha > 1, got {alpha}")
+    """Classical analogue of the linear-rate stopping constants, valid for every alpha > 1.
+
+    Orders without the linear certificate raise ``NoCertificate``.
+    """
     P = _validated_joint(p_xy)
     q0 = _restrict_pmf(_as_array(q0_pmf).ravel(), P.sum(axis=1), DEFAULT_CUT)
-    return _linear_start(_ClassicalRun(P, alpha, DEFAULT_CUT, q0))
-
-
-def _initial_q(P: np.ndarray, config: AmConfig) -> np.ndarray:
-    p_x = P.sum(axis=1)
-    if config.init == "marginal":
-        raw = p_x
-    elif config.init == "uniform":
-        raw = np.full(P.shape[0], 1.0 / P.shape[0])
-    else:
-        raw = np.diag(config.sigma0.entries).real
-        if raw.size != p_x.size:
-            raise ValueError(f"sigma0 has dim {raw.size}, expected {p_x.size}")
-    return _restrict_pmf(raw, p_x, config.cut)
+    return _constants(_ClassicalRun, "linear", P, alpha, DEFAULT_CUT, q0)
 
 
 def algorithm_classical(p_xy, config: AmConfig) -> ConvergenceTrace:
@@ -330,19 +320,9 @@ def algorithm_classical(p_xy, config: AmConfig) -> ConvergenceTrace:
     metric by gamma = 1 - 1/alpha at every such order.  Other orders raise
     ``NoCertificate``.
     """
-    P = _validated_joint(p_xy)
-    t_start = time.perf_counter()
-    q0 = _initial_q(P, config)
-    certify = _certificate(_ClassicalRun, config.alpha)
-    run = _ClassicalRun(P, config.alpha, config.cut, q0)
-    return _drive(run, certify(run), config, config.max_iter, t_start)
+    return _solve(_ClassicalRun, _validated_joint(p_xy), config)
 
 
 def run_uncertified_classical(p_xy, config: AmConfig, num_iter: int) -> ConvergenceTrace:
     """Plain classical alternating minimization for exactly ``num_iter`` iterations."""
-    if num_iter < 0:
-        raise ValueError("num_iter must be nonnegative")
-    P = _validated_joint(p_xy)
-    t_start = time.perf_counter()
-    run = _ClassicalRun(P, config.alpha, config.cut, _initial_q(P, config))
-    return _drive(run, _no_certificate, config, num_iter, t_start)
+    return _solve(_ClassicalRun, _validated_joint(p_xy), config, num_iter)

@@ -137,6 +137,11 @@ def load_operator(path: str | Path) -> HermitianOperator:
         raise ValidationError("hermiticity", str(exc))
 
 
+def _pmf_invalid(exc: ValueError) -> ValidationError:
+    """The invariant a rejected PMF breaks: its sum, else its signs."""
+    return ValidationError("normalization" if "sum" in str(exc) else "nonnegativity", str(exc))
+
+
 def load_pmf(path: str | Path) -> JointPmf:
     """Read a joint PMF from a CSV matrix of nonnegative floats."""
     try:
@@ -146,8 +151,7 @@ def load_pmf(path: str | Path) -> JointPmf:
     try:
         return JointPmf.from_weights(raw)
     except ValueError as exc:
-        invariant = "normalization" if "sum" in str(exc) else "nonnegativity"
-        raise ValidationError(invariant, str(exc))
+        raise _pmf_invalid(exc)
 
 
 def load_init_pmf(path: str | Path) -> HermitianOperator:
@@ -159,7 +163,7 @@ def load_init_pmf(path: str | Path) -> HermitianOperator:
     try:
         return HermitianOperator.diagonal(Pmf.from_weights(np.atleast_1d(raw)).weights)
     except ValueError as exc:
-        raise ValidationError("normalization", str(exc))
+        raise _pmf_invalid(exc)
 
 
 def _trace_document(trace: ConvergenceTrace) -> dict:

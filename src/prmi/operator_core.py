@@ -180,6 +180,11 @@ def support_eigh(mat: np.ndarray, cut: SupportCutoff) -> tuple[np.ndarray, np.nd
     return support_pairs(*np.linalg.eigh(mat), cut)
 
 
+def _power(w: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
+    """V diag(w^p) V^dag from eigenpairs ``(w, v)``: the one spectral power."""
+    return (v * w**p) @ v.conj().T
+
+
 def power_on_support(
     x: HermitianOperator, p: float, cut: SupportCutoff = DEFAULT_CUT
 ) -> HermitianOperator:
@@ -193,7 +198,7 @@ def power_on_support(
         if p < 0:
             raise ZeroOperator("negative power of the zero operator")
         return HermitianOperator._wrap(np.zeros_like(x.entries))
-    return HermitianOperator._wrap((vs * np.power(w, p)) @ vs.conj().T)
+    return HermitianOperator._wrap(_power(w, vs, p))
 
 
 def support_projector(x: HermitianOperator, cut: SupportCutoff = DEFAULT_CUT) -> HermitianOperator:

@@ -19,6 +19,7 @@ from .operator_core import (
     HermitianOperator,
     SupportCutoff,
     SupportRelation,
+    _power,
     power_on_support,
     support_mask,
     support_relation,
@@ -39,9 +40,11 @@ class DomainViolation(Exception):
 
 
 def _check_alpha(alpha: float) -> None:
-    """The order rule of every entry point: alpha > 0 and alpha != 1."""
+    """The order domain of every entry point: finite alpha > 0 and alpha != 1."""
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
+    if alpha == math.inf:
+        raise ValueError(f"alpha must be finite, got {alpha}")
     if alpha == 1.0:
         raise UnsupportedOrder("alpha = 1 is not supported; see oracle.kl_reference")
 
@@ -52,9 +55,9 @@ def q_alpha(
     alpha: float,
     cut: SupportCutoff = DEFAULT_CUT,
 ) -> float:
-    """Trace functional tr[rho^alpha sigma^(1-alpha)], powers on supports."""
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    """Trace functional tr[rho^alpha sigma^(1-alpha)], powers on supports; alpha = 1 is allowed."""
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     ra = power_on_support(rho, alpha, cut)
     sb = power_on_support(sigma, 1.0 - alpha, cut)
     val = float(np.trace(ra.entries @ sb.entries).real)
@@ -93,8 +96,7 @@ def d_alpha(
 def _rho_alpha_tensor(rho_ab: BipartiteState, alpha: float, cut: SupportCutoff) -> np.ndarray:
     """rho^alpha on its support from the cached spectrum, shaped (d_a, d_b, d_a, d_b)."""
     w, v = rho_ab.spectrum
-    wa = np.where(support_mask(w, cut), w, 0.0) ** alpha
-    ra = (v * wa) @ v.conj().T
+    ra = _power(np.where(support_mask(w, cut), w, 0.0), v, alpha)
     return ra.reshape(rho_ab.d_a, rho_ab.d_b, rho_ab.d_a, rho_ab.d_b)
 
 

@@ -33,8 +33,8 @@ from prmi import (
     d_h,
     kappa_estimate,
     linear_constants,
-    n_a_to_b,
-    n_b_to_a,
+    partial_min_sigma,
+    partial_min_tau,
     random_density,
     restrict_initializer,
     run_uncertified,
@@ -42,11 +42,10 @@ from prmi import (
     spectrum_floors,
     sublinear_constants,
 )
-from prmi import am_engine, classical_rmi
+from prmi import am_engine
 from prmi.am_engine import (
     NotStrictlyPositive,
     _AmRun,
-    _initial_sigma,
     _sublinear_certificate,
     projective_diameter_from_vectors,
     step_floor,
@@ -62,23 +61,23 @@ def uniform_op(d):
 class TestIterationMaps:
     def test_product_fixed_point(self, rng):
         rho = random_product_state(2, 3, rng)
-        tau = n_a_to_b(rho, rho.marginal_a(), 0.75)
+        tau = partial_min_tau(rho, rho.marginal_a(), 0.75)
         assert np.max(np.abs(tau.entries - rho.marginal_b().entries)) <= 1e-11
-        sigma = n_b_to_a(rho, rho.marginal_b(), 0.75)
+        sigma = partial_min_sigma(rho, rho.marginal_b(), 0.75)
         assert np.max(np.abs(sigma.entries - rho.marginal_a().entries)) <= 1e-11
 
     @pytest.mark.parametrize("alpha", [0.3, 0.75, 1.5])
     def test_maximally_correlated_uniform_fixed_point(self, alpha):
         rho = maximally_correlated(2)
-        tau = n_a_to_b(rho, uniform_op(2), alpha)
-        sigma = n_b_to_a(rho, uniform_op(2), alpha)
+        tau = partial_min_tau(rho, uniform_op(2), alpha)
+        sigma = partial_min_sigma(rho, uniform_op(2), alpha)
         assert np.max(np.abs(tau.entries - np.eye(2) / 2)) <= 1e-12
         assert np.max(np.abs(sigma.entries - np.eye(2) / 2)) <= 1e-12
 
     def test_output_support_and_trace(self, rng):
         rho = random_state(2, 2, rng)
         sigma = random_density(2, rng)
-        tau = n_a_to_b(rho, sigma, 1.5)
+        tau = partial_min_tau(rho, sigma, 1.5)
         assert abs(tau.trace() - 1.0) <= 1e-12
         assert np.min(np.linalg.eigvalsh(tau.entries)) > 0
 
@@ -90,7 +89,7 @@ class TestIterationMaps:
 
         rho = BipartiteState.from_matrix(sym / np.trace(sym).real, 2, 2)
         tau = random_density(2, rng)
-        assert np.max(np.abs(n_b_to_a(rho, tau, 1.5).entries - n_a_to_b(rho, tau, 1.5).entries)) <= 1e-10
+        assert np.max(np.abs(partial_min_sigma(rho, tau, 1.5).entries - partial_min_tau(rho, tau, 1.5).entries)) <= 1e-10
 
 
 class TestHalfStepKernel:
@@ -102,10 +101,10 @@ class TestHalfStepKernel:
         sigma0 = restrict_initializer(random_density(d_a, rng), rho.marginal_a())
         run = _AmRun(rho, alpha, DEFAULT_CUT, support_eigh(sigma0.entries, DEFAULT_CUT))
         run.a_to_b()
-        tau = run.tau_op()
-        assert np.max(np.abs(tau.entries - n_a_to_b(rho, sigma0, alpha).entries)) <= 1e-12
+        tau = run.operators()[1]()
+        assert np.max(np.abs(tau.entries - partial_min_tau(rho, sigma0, alpha).entries)) <= 1e-12
         run.b_to_a()
-        assert np.max(np.abs(run.sigma_op().entries - n_b_to_a(rho, tau, alpha).entries)) <= 1e-12
+        assert np.max(np.abs(run.operators()[0]().entries - partial_min_sigma(rho, tau, alpha).entries)) <= 1e-12
 
 
 def _count_decompositions(monkeypatch, by_name: bool = False) -> Counter:
@@ -201,7 +200,7 @@ class TestSetupOnce:
         for name, rho in _setup_states().items():
             cached = solve(rho, cut)
             with monkeypatch.context() as m:
-                m.setattr(am_engine, "_initial_sigma", _setup_before_caching)
+                m.setattr(_AmRun, "initial", staticmethod(_setup_before_caching))
                 before = solve(rho, cut)
             assert cached.terminated_by == before.terminated_by, name
             assert cached.iterations == before.iterations, name
@@ -221,7 +220,7 @@ class TestSetupOnce:
                 args = (25,) if solve is run_uncertified else ()
                 now = solve(rho, config, *args)
                 with monkeypatch.context() as m:
-                    m.setattr(am_engine, "_initial_sigma", _setup_before_caching)
+                    m.setattr(_AmRun, "initial", staticmethod(_setup_before_caching))
                     before = solve(rho, config, *args)
                 label = (name, init, cut.rel_tol, alpha)
                 assert now.terminated_by == before.terminated_by, label
@@ -240,7 +239,7 @@ class TestSetupOnce:
 
     def test_marginal_initializer_reuses_the_cached_vectors(self, rng):
         rho = random_state(2, 3, rng)
-        vals, vecs = _initial_sigma(rho, AmConfig(alpha=1.5))
+        vals, vecs = _AmRun.initial(rho, AmConfig(alpha=1.5))
         assert vecs is rho.marginal_spectrum[1]
         assert vals.sum() == pytest.approx(1.0, abs=1e-15)
 
@@ -340,8 +339,8 @@ class TestRestrictInitializer:
         block[2, 2] = 0.4
         sigma0 = HermitianOperator.from_entries(block)
         restricted = restrict_initializer(sigma0, rho.marginal_a())
-        lhs = n_a_to_b(rho, sigma0, 0.75)
-        rhs = n_a_to_b(rho, restricted, 0.75)
+        lhs = partial_min_tau(rho, sigma0, 0.75)
+        rhs = partial_min_tau(rho, restricted, 0.75)
         assert np.max(np.abs(lhs.entries - rhs.entries)) <= 1e-10
 
     def test_map_invariance_rank_one_marginal(self, rng):
@@ -354,8 +353,8 @@ class TestRestrictInitializer:
         mat[:2, :2] = tau.entries  # |0><0|_A ⊗ tau_B with d_a=3, d_b=2
         rho = BipartiteState.from_matrix(mat, 3, 2)
         sigma0 = random_density(3, rng)
-        lhs = n_a_to_b(rho, sigma0, 0.75)
-        rhs = n_a_to_b(rho, restrict_initializer(sigma0, rho.marginal_a()), 0.75)
+        lhs = partial_min_tau(rho, sigma0, 0.75)
+        rhs = partial_min_tau(rho, restrict_initializer(sigma0, rho.marginal_a()), 0.75)
         assert np.max(np.abs(lhs.entries - rhs.entries)) <= 1e-10
 
     def test_orthogonal_rejected(self):
@@ -458,6 +457,35 @@ class TestCertificateRule:
         with pytest.raises(NoCertificate):
             algorithm_classical(random_pmf((2, 3), rng), AmConfig(alpha=alpha))
 
+    CONSTANTS = {
+        "linear_constants 2.5": lambda rho, p: linear_constants(rho, rho.marginal_a(), 2.5),
+        "sublinear_constants 1.5": lambda rho, p: sublinear_constants(rho, rho.marginal_a(), 1.5),
+        "contraction_probe 3": lambda rho, p: contraction_probe(rho, 3.0, 5),
+        "classical_linear_constants 0.75": lambda rho, p: classical_linear_constants(
+            p, p.sum(axis=1), 0.75
+        ),
+    }
+
+    @pytest.mark.parametrize("ask", sorted(CONSTANTS))
+    def test_constants_follow_the_rule(self, rng, ask):
+        with pytest.raises(NoCertificate):
+            self.CONSTANTS[ask](random_state(2, 2, rng), random_pmf((2, 3), rng))
+
+    SOLVES = {
+        "algorithm1": lambda rho, p, config: algorithm1(rho, config),
+        "algorithm2": lambda rho, p, config: algorithm2(rho, config),
+        "run_uncertified": lambda rho, p, config: run_uncertified(rho, config, 3),
+        "algorithm_classical": lambda rho, p, config: algorithm_classical(p, config),
+        "run_uncertified_classical": lambda rho, p, config: run_uncertified_classical(p, config, 3),
+    }
+
+    @pytest.mark.parametrize("solve", sorted(SOLVES))
+    def test_initializer_is_checked_before_the_order(self, rng, solve):
+        # alpha = 3 has no quantum certificate and algorithm2's is not linear.
+        config = AmConfig(alpha=3.0, init="explicit", sigma0=random_density(3, rng))
+        with pytest.raises(ValueError, match="sigma0 has dim 3, expected 2"):
+            self.SOLVES[solve](random_state(2, 2, rng), random_pmf((2, 3), rng), config)
+
 
 def _spy_on_drive(monkeypatch, record):
     """Pass every stepper that reaches ``_drive`` to ``record`` first."""
@@ -468,7 +496,6 @@ def _spy_on_drive(monkeypatch, record):
         return real(run, *args)
 
     monkeypatch.setattr(am_engine, "_drive", spy)
-    monkeypatch.setattr(classical_rmi, "_drive", spy)
 
 
 class TestSolvePathCost:
@@ -499,6 +526,9 @@ class TestSolvePathCost:
         "algorithm2": lambda rng: algorithm2(random_state(3, 2, rng), AmConfig(alpha=0.75)),
         "uncertified": lambda rng: run_uncertified(random_state(2, 2, rng), AmConfig(alpha=3.0), 5),
         "classical": lambda rng: algorithm_classical(random_pmf((2, 3), rng), AmConfig(alpha=4.0)),
+        "uncertified classical": lambda rng: run_uncertified_classical(
+            random_pmf((3, 2), rng), AmConfig(alpha=0.3), 5
+        ),
     }
 
     @pytest.mark.parametrize("solve", sorted(SOLVES))
@@ -547,7 +577,7 @@ class TestStepperStartsHalfStepped:
     @pytest.mark.parametrize("alpha", [0.3, 0.75, 1.5, 3.0])
     def test_quantum(self, rng, alpha):
         rho = random_state(2, 3, rng)
-        run = _AmRun(rho, alpha, DEFAULT_CUT, _initial_sigma(rho, AmConfig(alpha=alpha)))
+        run = _AmRun(rho, alpha, DEFAULT_CUT, _AmRun.initial(rho, AmConfig(alpha=alpha)))
         x, q = run.x, run.q
         assert math.isfinite(x) and math.isfinite(q)
         run.a_to_b()
@@ -647,8 +677,8 @@ class TestDescentAndFixedPoint:
         rho = random_state(2, 2, rng)
         trace = run_uncertified(rho, AmConfig(alpha=alpha), 200)
         sigma, tau = trace.final_sigma_a, trace.final_tau_b
-        tau_next = n_a_to_b(rho, sigma, alpha)
-        sigma_next = n_b_to_a(rho, tau, alpha)
+        tau_next = partial_min_tau(rho, sigma, alpha)
+        sigma_next = partial_min_sigma(rho, tau, alpha)
         assert np.max(np.abs(tau_next.entries - tau.entries)) <= 1e-8
         assert np.max(np.abs(sigma_next.entries - sigma.entries)) <= 1e-8
 
@@ -719,7 +749,7 @@ class TestProbes:
 
 
 def _started_run(rho, alpha):
-    run = _AmRun(rho, alpha, DEFAULT_CUT, _initial_sigma(rho, AmConfig(alpha=alpha)))
+    run = _AmRun(rho, alpha, DEFAULT_CUT, _AmRun.initial(rho, AmConfig(alpha=alpha)))
     run.a_to_b()
     run.full_step()
     return run
@@ -761,7 +791,7 @@ class TestStepDistance:
         run = _started_run(rho, alpha)
         w, v = run.prev_sigma
         prev = HermitianOperator._wrap((v * w) @ v.conj().T)
-        expect = d_h(run.sigma_op(), prev)
+        expect = d_h(run.operators()[0](), prev)
         assert 0.0 < expect < math.inf
         assert run.step_distance() - _quantum_floor(run) == pytest.approx(expect, rel=1e-9, abs=1e-13)
 

@@ -96,12 +96,12 @@ class TestIterationMaps:
 
     @pytest.mark.parametrize("alpha", [0.75, 1.5])
     def test_matches_quantum_map_on_embedding(self, rng, alpha):
-        from prmi import n_a_to_b
+        from prmi import partial_min_tau
 
         p = random_pmf((2, 2), rng)
         q = random_pmf(2, rng)
         classical = n_x_to_y(p, q, alpha).weights
-        quantum = n_a_to_b(cc_embed(p), HermitianOperator.diagonal(q), alpha)
+        quantum = partial_min_tau(cc_embed(p), HermitianOperator.diagonal(q), alpha)
         assert np.max(np.abs(np.diag(quantum.entries).real - classical)) <= 1e-12
 
     def test_domain_violation(self):

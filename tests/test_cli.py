@@ -240,6 +240,27 @@ class TestMain:
         init.write_text("0.2,0.3,0.5\n")
         assert main(argv + ["--init", f"file:{init}"]) == EXIT_INVALID
 
+    def test_classical_init_sign_named(self, tmp_path, capsys):
+        pmf = tmp_path / "pmf.csv"
+        pmf.write_text("0.4,0.1\n0.1,0.4\n")
+        init = tmp_path / "neg.csv"
+        init.write_text("-0.5,1.5\n")
+        argv = [str(pmf), "--mode", "classical", "--alpha", "1.5", "--init", f"file:{init}"]
+        assert main(argv + ["--trace-out", str(tmp_path / "trace.json")]) == EXIT_INVALID
+        assert "error: nonnegativity: PMF weights must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["quantum", "classical"])
+    @pytest.mark.parametrize("extra", [[], ["--uncertified"]])
+    def test_infinite_order_exit_two(self, correlated_file, tmp_path, capsys, mode, extra):
+        pmf = tmp_path / "pmf.csv"
+        pmf.write_text("0.4,0.1\n0.1,0.4\n")
+        data = str(correlated_file if mode == "quantum" else pmf)
+        out = tmp_path / "trace.json"
+        argv = [data, "--mode", mode, "--alpha", "inf", "--trace-out", str(out), *extra]
+        assert main(argv) == EXIT_INVALID
+        assert "alpha must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_exit_two(self, tmp_path):
         code = main([str(tmp_path / "nope.json"), "--alpha", "1.5"])
         assert code == EXIT_INVALID

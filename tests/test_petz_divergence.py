@@ -19,6 +19,7 @@ from prmi import (
     random_density,
     schatten_norm,
     sibson_residual,
+    spectrum_floors,
 )
 from prmi.am_engine import _AmRun, _restricted_pairs
 from prmi.petz_divergence import DomainViolation, product_operator
@@ -27,7 +28,7 @@ ALPHAS = [0.6, 0.75, 0.9, 1.5, 2.0]
 
 
 class TestOrderRule:
-    """Every entry point applies the one order rule, alpha > 0 and alpha != 1."""
+    """Every entry point applies the one order domain: finite alpha > 0, alpha != 1."""
 
     @staticmethod
     def _entry_points(rng):
@@ -40,6 +41,7 @@ class TestOrderRule:
             lambda a: d_alpha_classical([0.5, 0.5], [0.5, 0.5], a),
             lambda a: grid_min_classical(p, a, 0.1),
             lambda a: grid_min_quantum_qubit(rho, a, 0.1),
+            lambda a: spectrum_floors(rho, rho.marginal_a(), a),
         ]
 
     def test_alpha_one_is_an_unsupported_order(self, rng):
@@ -48,7 +50,7 @@ class TestOrderRule:
             with pytest.raises(UnsupportedOrder):
                 call(1.0)
 
-    @pytest.mark.parametrize("alpha", [0.0, -0.5, math.nan])
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, math.nan, math.inf])
     def test_nonpositive_order_rejected(self, rng, alpha):
         for call in self._entry_points(rng):
             with pytest.raises(ValueError):
@@ -65,6 +67,12 @@ class TestQAlpha:
         rho = maximally_correlated(2)
         unif = HermitianOperator.from_entries(np.eye(4) / 4)
         assert q_alpha(rho.op, unif, 0.75) == pytest.approx(2.0 ** (0.75 - 1.0), abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.0, math.nan, math.inf])
+    def test_order_outside_the_domain_rejected(self, rng, alpha):
+        rho = random_density(2, rng)
+        with pytest.raises(ValueError):
+            q_alpha(rho, rho, alpha)
 
     def test_orthogonal_supports(self):
         a = HermitianOperator.diagonal([1.0, 0.0])
