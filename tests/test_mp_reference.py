@@ -105,9 +105,9 @@ STATES = {
 }
 
 
-# The ends of both certified ranges; every eps0 here lies above the rounding
-# floor that ROADMAP item 2's strict xfails pin.  All of 0.6, 0.75, 0.9,
-# 1.25, 1.5 and 2 were sound on these states when this was written.
+# Two orders from each certified range, to keep this near 5 s; every eps0
+# lies above the rounding floor that ROADMAP item 2's strict xfails pin.
+# The orders 0.75 and 1.5 were sound on these states as well.
 @pytest.mark.parametrize("alpha", [0.6, 0.9, 1.25, 2.0])
 @pytest.mark.parametrize("name", sorted(STATES))
 def test_certificate_holds_against_the_40_digit_limit(name, alpha):
