@@ -8,19 +8,15 @@ classical PMF specialization, and brute-force grid oracles for validation.
 
 from .am_engine import (
     AmConfig,
-    ContractionReport,
     ConvergenceTrace,
     LinearConstants,
     MonotonicityViolation,
     NoCertificate,
-    NotStrictlyPositive,
     OrthogonalInitializer,
     SublinearConstants,
     TraceRecord,
     algorithm1,
     algorithm2,
-    contraction_probe,
-    kappa_estimate,
     linear_constants,
     restrict_initializer,
     run_uncertified,
@@ -29,6 +25,7 @@ from .am_engine import (
 )
 from .classical_rmi import (
     JointPmf,
+    NotStrictlyPositive,
     Pmf,
     algorithm_classical,
     birkhoff_kappa_classical,
@@ -39,15 +36,7 @@ from .classical_rmi import (
     n_y_to_x,
     run_uncertified_classical,
 )
-from .hilbert_metric import (
-    SupportMismatch,
-    d_h,
-    d_h_bound_from_spectra,
-    d_h_vec,
-    m_ratio,
-    m_ratio_vec,
-    tensor_additivity_residual,
-)
+from .hilbert_metric import d_h
 from .operator_core import (
     DEFAULT_CUT,
     BipartiteState,
@@ -67,14 +56,6 @@ from .operator_core import (
     support_relation,
 )
 from .oracle import OracleResult, TooLarge, grid_min_classical, grid_min_quantum_qubit, kl_reference
-from .petz_divergence import (
-    DomainViolation,
-    UnsupportedOrder,
-    d_alpha,
-    partial_min_sigma,
-    partial_min_tau,
-    q_alpha,
-    sibson_residual,
-)
+from .petz_divergence import DomainViolation, UnsupportedOrder, d_alpha, q_alpha
 
 __version__ = "0.1.0"

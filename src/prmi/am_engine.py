@@ -64,8 +64,10 @@ which certificate is stated once, in ``_certificate``: linear on
 (1, ``linear_max``] of the stepper (2 for ``_AmRun``, every order above one
 for the classical stepper), sublinear on (1/2, 1), and ``NoCertificate``
 elsewhere.  Solves, ``algorithm1``/``algorithm2``'s choice of side, and the
-constants and contraction probe all ask it, from the stepper's class and
-before a run is set up, so an order without a certificate costs no set-up.
+constants all ask it, from the stepper's class and before a run is set up,
+so an order without a certificate costs no set-up.  The engine imports no
+reference of its own: the einsum partial minimizers and the sampled
+contraction probe it is checked against are in ``tests/references.py``.
 Each quantum half-step's eigendecomposition goes through
 ``operator_core.support_eigh``, the one cutoff eigendecomposition; the
 classical stepper applies the same cutoff rule, ``support_mask``, to
@@ -111,7 +113,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hilbert_metric import d_h, whitened_distance
+from .hilbert_metric import whitened_distance
 from .operator_core import (
     DEFAULT_CUT,
     BipartiteState,
@@ -120,17 +122,10 @@ from .operator_core import (
     _orthogonal,
     _overlap,
     _power,
-    random_density,
     support_eigh,
-    support_mask,
     support_pairs,
 )
-from .petz_divergence import (
-    DomainViolation,
-    _check_alpha,
-    _rho_alpha_tensor,
-    partial_min_tau,
-)
+from .petz_divergence import DomainViolation, _check_alpha, _rho_alpha_tensor
 
 
 class OrthogonalInitializer(Exception):
@@ -139,10 +134,6 @@ class OrthogonalInitializer(Exception):
 
 class MonotonicityViolation(Exception):
     """Objective increased beyond numerical slack; the run is unreliable."""
-
-
-class NotStrictlyPositive(Exception):
-    """Diagnostic requires a strictly positive input state."""
 
 
 class NoCertificate(ValueError):
@@ -261,13 +252,6 @@ class SublinearConstants:
     lambda_b: float
     lambda_a0: float
     c0: float
-
-
-@dataclass(frozen=True)
-class ContractionReport:
-    gamma: float
-    max_ratio: float
-    trials: int
 
 
 def restrict_initializer(
@@ -693,104 +677,16 @@ def spectrum_floors(
     alpha 2.5, 3, 4, 6 and 8, none of 3255 iterate spectra fell below them.
     """
     _check_alpha(alpha)
-    run = _AmRun(rho_ab, alpha, cut, _restricted_pairs(rho_ab, sigma0, cut))
+    pairs = _restricted_pairs(rho_ab, sigma0, cut)
+    if not (alpha > 1.0 or 0.5 < alpha < 1.0):
+        raise ValueError(f"spectrum floors require alpha in (1/2, 1) or (1, inf), got {alpha}")
+    run = _AmRun(rho_ab, alpha, cut, pairs)
     if alpha > 1.0:
         lin = _linear_start(run)
         return lin.c_a, (run.lambda_b() / lin.q0) ** (1.0 / alpha)
-    if not 0.5 < alpha < 1.0:
-        raise ValueError(f"spectrum floors require alpha in (1/2, 1) or (1, inf), got {alpha}")
     sub = _sublinear_start(run)
     exp1 = alpha / (2.0 * alpha - 1.0)
     exp2 = (1.0 - alpha) / (2.0 * alpha - 1.0)
     c_a = min(1.0, sub.lambda_a**exp1 * sub.lambda_b**exp2) * sub.lambda_a0
     c_b = sub.lambda_b ** (1.0 / alpha) * c_a ** ((1.0 - alpha) / alpha)
     return c_a, c_b
-
-
-def contraction_probe(
-    rho_ab: BipartiteState,
-    alpha: float,
-    trials: int,
-    rng: np.random.Generator | None = None,
-    cut: SupportCutoff = DEFAULT_CUT,
-) -> ContractionReport:
-    """Sample the contraction ratio of the A-to-B map in the projective metric.
-
-    Draws random pairs of states with the support of the A marginal and
-    returns the largest observed ratio d_H(N(s), N(s')) / d_H(s, s'); for
-    the orders with the linear certificate the ratio is bounded by
-    gamma = 1 - 1/alpha, and other orders raise :class:`NoCertificate`.  A
-    rank-one marginal, whose support holds a single state, is rejected.
-    """
-    _certificate(_AmRun, alpha, "linear")
-    vs = support_pairs(*rho_ab.marginal_spectrum, cut)[1]
-    if vs.shape[1] < 2:
-        raise ValueError("contraction probe requires an A-marginal support of rank 2 or more")
-    rng = np.random.default_rng(0) if rng is None else rng
-    gamma = 1.0 - 1.0 / alpha
-    max_ratio = 0.0
-    done = 0
-    while done < trials:
-        # V^dag G G^dag V / tr for d_a x d_a Ginibre G: random_density(d_a) restricted.
-        pair = [random_density(vs.shape[1], rng, rank=rho_ab.d_a).entries for _ in range(2)]
-        s1, s2 = (HermitianOperator._wrap(vs @ m @ vs.conj().T) for m in pair)
-        base = d_h(s1, s2, cut)
-        if not math.isfinite(base) or base < 1e-12:
-            continue
-        mapped = d_h(
-            partial_min_tau(rho_ab, s1, alpha, cut), partial_min_tau(rho_ab, s2, alpha, cut), cut
-        )
-        max_ratio = max(max_ratio, mapped / base)
-        done += 1
-    return ContractionReport(gamma=gamma, max_ratio=max_ratio, trials=trials)
-
-
-def projective_diameter_from_vectors(
-    rho_ab: BipartiteState,
-    alpha: float,
-    vectors: np.ndarray,
-    cut: SupportCutoff = DEFAULT_CUT,
-) -> float:
-    """Largest d_H between compressions <v| rho^alpha |v> over the given A vectors.
-
-    The compressions are operators on B; their pairwise projective distances
-    lower-bound the projective diameter of the contraction map.
-    """
-    r4 = _rho_alpha_tensor(rho_ab, alpha, cut)
-    mats = []
-    for v in vectors:
-        v = np.asarray(v, dtype=np.complex128)
-        m = np.einsum("abcd,a,c->bd", r4, v.conj(), v)
-        mats.append(HermitianOperator._wrap(m))
-    delta = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            delta = max(delta, d_h(mats[i], mats[j], cut))
-    return delta
-
-
-def kappa_estimate(
-    rho_ab: BipartiteState,
-    alpha: float,
-    samples: int,
-    rng: np.random.Generator | None = None,
-    cut: SupportCutoff = DEFAULT_CUT,
-) -> float:
-    """Sampled Birkhoff contraction ratio tanh(delta/4) for strictly positive states.
-
-    delta is estimated by maximizing the pairwise projective distance of
-    compressions over the coordinate basis plus Haar-random unit vectors, so
-    the estimate is a lower bound; it is diagnostic only and never used to
-    tighten a stopping rule.
-    """
-    if samples < 2:
-        raise ValueError("samples must be at least 2")
-    if not support_mask(rho_ab.spectrum[0], cut).all():
-        raise NotStrictlyPositive("kappa estimate requires a strictly positive state")
-    rng = np.random.default_rng(0) if rng is None else rng
-    vectors = [np.eye(rho_ab.d_a)[i] for i in range(rho_ab.d_a)]
-    for _ in range(samples):
-        v = rng.standard_normal(rho_ab.d_a) + 1j * rng.standard_normal(rho_ab.d_a)
-        vectors.append(v / np.linalg.norm(v))
-    delta = projective_diameter_from_vectors(rho_ab, alpha, np.array(vectors), cut)
-    return math.tanh(delta / 4.0)

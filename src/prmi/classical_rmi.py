@@ -18,7 +18,10 @@ the initial q, and each half-step keeps the supports of the marginals fixed
 there, which is what the iteration preserves in exact arithmetic.  The
 linear certificate holds at every order above one
 (``_ClassicalRun.linear_max``).  ``cc_embed`` stays as the reference the
-tests compare against.
+tests compare against.  ``cross_ratio_diameter`` and
+``birkhoff_kappa_classical`` give the exact projective diameter of the
+classical map and its Birkhoff rate; both require a strictly positive PMF
+and raise ``NotStrictlyPositive`` otherwise.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .am_engine import (
     AmConfig,
     ConvergenceTrace,
     LinearConstants,
-    NotStrictlyPositive,
     OrthogonalInitializer,
     _constants,
     _initializer,
@@ -54,8 +56,17 @@ from .petz_divergence import DomainViolation, _check_alpha
 _SUM_TOL = 1e-12
 
 
-def _readonly_float(arr) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64, copy=True)
+class NotStrictlyPositive(Exception):
+    """The exact projective diameter requires a strictly positive PMF."""
+
+
+def _checked_weights(w: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``w`` once it is a PMF: every weight >= 0 (so none is NaN), sum one."""
+    if not (w >= 0).all():
+        raise ValueError("PMF weights must be nonnegative")
+    if abs(float(w.sum()) - 1.0) > _SUM_TOL:
+        raise ValueError(f"PMF weights sum to {w.sum()}, not 1")
+    out = np.array(w)  # a copy, in w's memory order
     out.setflags(write=False)
     return out
 
@@ -68,12 +79,7 @@ class Pmf:
 
     @classmethod
     def from_weights(cls, weights) -> "Pmf":
-        w = np.asarray(weights, dtype=np.float64).ravel()
-        if np.any(w < 0):
-            raise ValueError("PMF weights must be nonnegative")
-        if abs(float(w.sum()) - 1.0) > _SUM_TOL:
-            raise ValueError(f"PMF weights sum to {w.sum()}, not 1")
-        return cls(_readonly_float(w))
+        return cls(_checked_weights(np.asarray(weights, dtype=np.float64).ravel()))
 
     @property
     def size(self) -> int:
@@ -91,11 +97,7 @@ class JointPmf:
         w = np.asarray(weights, dtype=np.float64)
         if w.ndim != 2:
             raise ValueError(f"joint PMF must be a matrix, got shape {w.shape}")
-        if np.any(w < 0):
-            raise ValueError("PMF weights must be nonnegative")
-        if abs(float(w.sum()) - 1.0) > _SUM_TOL:
-            raise ValueError(f"PMF weights sum to {w.sum()}, not 1")
-        return cls(_readonly_float(w))
+        return cls(_checked_weights(w))
 
     @property
     def shape(self) -> tuple[int, int]:

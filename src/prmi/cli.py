@@ -79,9 +79,20 @@ def _matrix_from_json(obj) -> np.ndarray:
         rows = [
             [complex(cell["re"], cell.get("im", 0.0)) for cell in row] for row in obj
         ]
-    except (TypeError, KeyError) as exc:
+    except (TypeError, KeyError, OverflowError) as exc:
         raise ParseError(f"matrix entries must be objects with 're'/'im': {exc}")
-    return np.array(rows, dtype=np.complex128)
+    try:
+        return np.array(rows, dtype=np.complex128)
+    except ValueError as exc:
+        raise ParseError(f"matrix rows must have equal lengths: {exc}")
+
+
+def _dimension(data: dict, key: str) -> int:
+    """A subsystem dimension as the state file gives it: a JSON integer, not a float or bool."""
+    value = data[key]
+    if type(value) is not int:
+        raise ParseError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def load_state(path: str | Path) -> BipartiteState:
@@ -92,7 +103,7 @@ def load_state(path: str | Path) -> BipartiteState:
         raise ParseError(f"cannot read state file {path}: {exc}")
     if not isinstance(data, dict) or not {"d_a", "d_b", "matrix"} <= set(data):
         raise ParseError("state file must contain d_a, d_b and matrix")
-    d_a, d_b = int(data["d_a"]), int(data["d_b"])
+    d_a, d_b = _dimension(data, "d_a"), _dimension(data, "d_b")
     mat = _matrix_from_json(data["matrix"])
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ParseError(f"matrix must be square, got shape {mat.shape}")
@@ -142,12 +153,17 @@ def _pmf_invalid(exc: ValueError) -> ValidationError:
     return ValidationError("normalization" if "sum" in str(exc) else "nonnegativity", str(exc))
 
 
-def load_pmf(path: str | Path) -> JointPmf:
-    """Read a joint PMF from a CSV matrix of nonnegative floats."""
+def _read_csv(path: str | Path) -> np.ndarray:
+    """The rows of a CSV matrix of floats; a single line is one row."""
     try:
-        raw = np.loadtxt(path, delimiter=",", ndmin=2)
+        return np.loadtxt(path, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read PMF file {path}: {exc}")
+
+
+def load_pmf(path: str | Path) -> JointPmf:
+    """Read a joint PMF from a CSV matrix of nonnegative floats."""
+    raw = _read_csv(path)
     try:
         return JointPmf.from_weights(raw)
     except ValueError as exc:
@@ -156,12 +172,11 @@ def load_pmf(path: str | Path) -> JointPmf:
 
 def load_init_pmf(path: str | Path) -> HermitianOperator:
     """Read a classical initializer (one CSV row) as the diagonal operator ``AmConfig`` takes."""
+    raw = _read_csv(path)
+    if raw.shape[0] != 1:
+        raise ParseError(f"initializer file {path} must hold one CSV row, got {raw.shape[0]}")
     try:
-        raw = np.loadtxt(path, delimiter=",")
-    except (OSError, ValueError) as exc:
-        raise ParseError(f"cannot read PMF file {path}: {exc}")
-    try:
-        return HermitianOperator.diagonal(Pmf.from_weights(np.atleast_1d(raw)).weights)
+        return HermitianOperator.diagonal(Pmf.from_weights(raw[0]).weights)
     except ValueError as exc:
         raise _pmf_invalid(exc)
 

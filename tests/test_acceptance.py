@@ -26,29 +26,30 @@ from prmi import (
     algorithm_classical,
     birkhoff_kappa_classical,
     cc_embed,
-    contraction_probe,
     cross_ratio_diameter,
     d_alpha,
     d_h,
-    d_h_vec,
     grid_min_classical,
     grid_min_quantum_qubit,
     linear_constants,
-    m_ratio,
-    m_ratio_vec,
     n_x_to_y,
     power_on_support,
     random_density,
     run_uncertified,
     run_uncertified_classical,
     schatten_norm,
-    sibson_residual,
     spectrum_floors,
     sublinear_constants,
-    tensor_additivity_residual,
     q_alpha,
 )
-from prmi.petz_divergence import product_operator
+from references import (
+    contraction_probe,
+    d_h_vec,
+    m_ratio,
+    m_ratio_vec,
+    sibson_residual,
+    tensor_additivity_residual,
+)
 
 ALL_ALPHAS = [0.6, 0.75, 0.9, 1.1, 1.5, 2.0]
 

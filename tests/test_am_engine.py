@@ -28,13 +28,9 @@ from prmi import (
     algorithm1,
     algorithm2,
     algorithm_classical,
-    contraction_probe,
     cross_ratio_diameter,
     d_h,
-    kappa_estimate,
     linear_constants,
-    partial_min_sigma,
-    partial_min_tau,
     random_density,
     restrict_initializer,
     run_uncertified,
@@ -43,15 +39,15 @@ from prmi import (
     sublinear_constants,
 )
 from prmi import am_engine
-from prmi.am_engine import (
-    NotStrictlyPositive,
-    _AmRun,
-    _sublinear_certificate,
-    projective_diameter_from_vectors,
-    step_floor,
-)
+from prmi.am_engine import _AmRun, _sublinear_certificate, step_floor
 from prmi.classical_rmi import _ClassicalRun, classical_linear_constants
 from prmi.operator_core import support_eigh
+from references import (
+    contraction_probe,
+    partial_min_sigma,
+    partial_min_tau,
+    projective_diameter_from_vectors,
+)
 
 
 def uniform_op(d):
@@ -689,6 +685,19 @@ class TestDescentAndFixedPoint:
         suboptimal_gap = math.log(2) - (0.3 / 0.7) * math.log(2)
         assert suboptimal_gap > 0.39
 
+    def test_spectrum_floors_check_the_order_before_set_up(self, rng, monkeypatch):
+        setups = Counter()
+        real_tensor = am_engine._rho_alpha_tensor
+
+        def tensor(*args):
+            setups["tensor"] += 1
+            return real_tensor(*args)
+
+        monkeypatch.setattr(am_engine, "_rho_alpha_tensor", tensor)
+        with pytest.raises(ValueError, match="spectrum floors require alpha"):
+            spectrum_floors(random_state(2, 2, rng), random_density(2, rng), 0.3)
+        assert setups["tensor"] == 0
+
     @pytest.mark.parametrize("alpha", [0.75, 1.5])
     def test_spectrum_floors_hold_on_iterates(self, rng, alpha):
         rho = random_state(2, 2, rng)
@@ -723,19 +732,6 @@ class TestProbes:
     def test_maximally_mixed_ratio(self, rng):
         report = contraction_probe(uniform_state(2, 2), 2.0, 30, rng)
         assert report.max_ratio <= 0.5 + 1e-9
-
-    def test_kappa_zero_for_maximally_mixed(self):
-        assert kappa_estimate(uniform_state(2, 2), 2.0, 5) <= 1e-12
-
-    def test_kappa_requires_positive_state(self):
-        with pytest.raises(NotStrictlyPositive):
-            kappa_estimate(maximally_correlated(2), 2.0, 5)
-
-    def test_kappa_monotone_in_samples(self, rng):
-        rho = random_state(2, 2, rng)
-        k_small = kappa_estimate(rho, 1.5, 5, np.random.default_rng(9))
-        k_large = kappa_estimate(rho, 1.5, 25, np.random.default_rng(9))
-        assert k_large >= k_small - 1e-15
 
     def test_cc_diameter_matches_classical_formula(self, rng):
         p = rng.random((2, 2)) + 0.1

@@ -9,6 +9,7 @@ from prmi import (
     AmConfig,
     HermitianOperator,
     JointPmf,
+    NotStrictlyPositive,
     Pmf,
     SupportCutoff,
     UnsupportedOrder,
@@ -19,7 +20,6 @@ from prmi import (
     cross_ratio_diameter,
     d_alpha,
     d_alpha_classical,
-    d_h_vec,
     grid_min_classical,
     n_x_to_y,
     n_y_to_x,
@@ -27,9 +27,10 @@ from prmi import (
     run_uncertified_classical,
     sublinear_constants,
 )
-from prmi.am_engine import NotStrictlyPositive, _sublinear_start
+from prmi.am_engine import _sublinear_start
 from prmi.classical_rmi import _ClassicalRun, classical_linear_constants
-from prmi.petz_divergence import DomainViolation, product_operator
+from prmi.petz_divergence import DomainViolation
+from references import d_h_vec, product_operator
 
 
 class TestPmfTypes:
@@ -40,6 +41,15 @@ class TestPmfTypes:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             Pmf.from_weights([1.1, -0.1])
+
+    @pytest.mark.parametrize(
+        "build, weights",
+        [(Pmf.from_weights, [math.nan, 0.5, 0.5]), (JointPmf.from_weights, [[math.nan, 0.5], [0.25, 0.25]])],
+        ids=["pmf", "joint"],
+    )
+    def test_rejects_nan(self, build, weights):
+        with pytest.raises(ValueError, match="nonnegative"):
+            build(weights)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
@@ -96,7 +106,7 @@ class TestIterationMaps:
 
     @pytest.mark.parametrize("alpha", [0.75, 1.5])
     def test_matches_quantum_map_on_embedding(self, rng, alpha):
-        from prmi import partial_min_tau
+        from references import partial_min_tau
 
         p = random_pmf((2, 2), rng)
         q = random_pmf(2, rng)

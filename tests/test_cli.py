@@ -249,6 +249,49 @@ class TestMain:
         assert main(argv + ["--trace-out", str(tmp_path / "trace.json")]) == EXIT_INVALID
         assert "error: nonnegativity: PMF weights must be nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("role", ["pmf", "init"])
+    def test_nan_weight_named(self, tmp_path, capsys, role):
+        """A NaN weight fails the sign check before any solve."""
+        pmf = tmp_path / "pmf.csv"
+        init = tmp_path / "q.csv"
+        pmf.write_text("nan,0.5\n0.25,0.25\n" if role == "pmf" else "0.4,0.1\n0.1,0.4\n")
+        init.write_text("nan,0.5\n")
+        argv = [str(pmf), "--mode", "classical", "--alpha", "1.5"]
+        argv += ["--init", f"file:{init}"] if role == "init" else []
+        assert main(argv + ["--trace-out", str(tmp_path / "trace.json")]) == EXIT_INVALID
+        assert capsys.readouterr().err == "error: nonnegativity: PMF weights must be nonnegative\n"
+
+    def test_classical_init_must_be_one_row(self, tmp_path, capsys):
+        pmf = tmp_path / "pmf.csv"
+        pmf.write_text("\n".join([",".join(["0.0625"] * 4)] * 4) + "\n")
+        init = tmp_path / "q.csv"
+        init.write_text("0.1,0.2\n0.3,0.4\n")
+        argv = [str(pmf), "--mode", "classical", "--alpha", "1.5", "--init", f"file:{init}"]
+        assert main(argv + ["--trace-out", str(tmp_path / "trace.json")]) == EXIT_INVALID
+        assert "must hold one CSV row, got 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "role, change",
+        [
+            ("state", {"d_a": "two"}),
+            ("state", {"d_a": None}),
+            ("state", {"d_a": 2.5}),
+            ("state", {"matrix": [[{"re": 1}], []]}),
+            ("state", {"matrix": [[{"re": 10**400}]]}),
+            ("init", {"matrix": [[{"re": 1}], []]}),
+        ],
+        ids=["d_a string", "d_a null", "d_a float", "ragged", "entry overflows", "ragged init"],
+    )
+    def test_malformed_json_exit_two(self, correlated_file, tmp_path, capsys, role, change):
+        """A malformed state or initializer file is a parse error: exit 2, no traceback."""
+        doc = json.loads(correlated_file.read_text())
+        doc.update(change)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        argv = [str(correlated_file), "--init", f"file:{bad}"] if role == "init" else [str(bad)]
+        assert main(argv + ["--alpha", "1.5", "--trace-out", str(tmp_path / "t.json")]) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("mode", ["quantum", "classical"])
     @pytest.mark.parametrize("extra", [[], ["--uncertified"]])
     def test_infinite_order_exit_two(self, correlated_file, tmp_path, capsys, mode, extra):

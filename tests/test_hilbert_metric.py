@@ -9,17 +9,19 @@ from prmi import (
     DEFAULT_CUT,
     DimMismatch,
     HermitianOperator,
-    SupportMismatch,
     SupportRelation,
     ZeroOperator,
     d_h,
+    partial_trace,
+    power_on_support,
+    random_density,
+)
+from references import (
+    SupportMismatch,
     d_h_bound_from_spectra,
     d_h_vec,
     m_ratio,
     m_ratio_vec,
-    partial_trace,
-    power_on_support,
-    random_density,
     tensor_additivity_residual,
 )
 

@@ -13,16 +13,14 @@ from prmi import (
     d_alpha_classical,
     grid_min_classical,
     grid_min_quantum_qubit,
-    partial_min_sigma,
-    partial_min_tau,
     q_alpha,
     random_density,
     schatten_norm,
-    sibson_residual,
     spectrum_floors,
 )
 from prmi.am_engine import _AmRun, _restricted_pairs
-from prmi.petz_divergence import DomainViolation, product_operator
+from prmi.petz_divergence import DomainViolation
+from references import partial_min_sigma, partial_min_tau, product_operator, sibson_residual
 
 ALPHAS = [0.6, 0.75, 0.9, 1.5, 2.0]
 
