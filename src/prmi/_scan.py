@@ -1,13 +1,12 @@
-"""The bilinear row-extreme kernel behind the qubit grid oracle.
+"""Float32 row extremes of a bilinear form, kept only for the benchmark's layer probes.
 
-The oracle reduces objective evaluations to dot products of at most four
-terms, S_ij = sum_k A[i, k] * C[j, k]; ``row_extremes`` streams over all
-pairs and keeps per-row extremes without materializing the n-by-m value
-matrix.  min/max reductions are order-independent, so results do not depend
-on the thread schedule.  ``pair_scan`` (the exhaustive pair extreme) and its
-alias ``pruned_pair_scan`` serve no solve or oracle; they stay, with
-``_HAVE_NUMBA``, while the benchmark's layer tracer names them (ROADMAP
-items 4 and 6).
+``row_extremes`` reduces S_ij = sum_k A[i, k] * C[j, k], dot products of at
+most four terms, to per-row extremes without materializing the n-by-m value
+matrix.  No solve, CLI run or oracle calls this module: the qubit grid
+oracle finds its best directions in closed form.  ``row_extremes``,
+``pair_scan`` (the exhaustive pair extreme), its alias ``pruned_pair_scan``
+and ``_HAVE_NUMBA`` stay only while ``bench/layers.py`` names them; once it
+drops them the module can be deleted whole (ROADMAP items 4 and 6).
 """
 
 from __future__ import annotations

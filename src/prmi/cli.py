@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,16 @@ def _matrix_from_json(obj) -> np.ndarray:
         raise ParseError(f"matrix rows must have equal lengths: {exc}")
 
 
+def _operator(mat: np.ndarray) -> HermitianOperator:
+    """A parsed matrix as a Hermitian operator, naming the invariant it breaks."""
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ParseError(f"matrix must be square, got shape {mat.shape}")
+    try:
+        return HermitianOperator.from_entries(mat)
+    except InvalidOperator as exc:
+        raise ValidationError("finiteness" if "non-finite" in str(exc) else "hermiticity", str(exc))
+
+
 def _dimension(data: dict, key: str) -> int:
     """A subsystem dimension as the state file gives it: a JSON integer, not a float or bool."""
     value = data[key]
@@ -104,13 +115,7 @@ def load_state(path: str | Path) -> BipartiteState:
     if not isinstance(data, dict) or not {"d_a", "d_b", "matrix"} <= set(data):
         raise ParseError("state file must contain d_a, d_b and matrix")
     d_a, d_b = _dimension(data, "d_a"), _dimension(data, "d_b")
-    mat = _matrix_from_json(data["matrix"])
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ParseError(f"matrix must be square, got shape {mat.shape}")
-    try:
-        op = HermitianOperator.from_entries(mat)
-    except InvalidOperator as exc:
-        raise ValidationError("hermiticity", str(exc))
+    op = _operator(_matrix_from_json(data["matrix"]))
     try:
         return BipartiteState.from_operator(op, d_a, d_b)
     except DimMismatch as exc:
@@ -141,11 +146,7 @@ def load_operator(path: str | Path) -> HermitianOperator:
         raise ParseError(f"cannot read operator file {path}: {exc}")
     if not isinstance(data, dict) or "matrix" not in data:
         raise ParseError("operator file must contain a matrix")
-    mat = _matrix_from_json(data["matrix"])
-    try:
-        return HermitianOperator.from_entries(mat)
-    except InvalidOperator as exc:
-        raise ValidationError("hermiticity", str(exc))
+    return _operator(_matrix_from_json(data["matrix"]))
 
 
 def _pmf_invalid(exc: ValueError) -> ValidationError:
@@ -156,9 +157,15 @@ def _pmf_invalid(exc: ValueError) -> ValidationError:
 def _read_csv(path: str | Path) -> np.ndarray:
     """The rows of a CSV matrix of floats; a single line is one row."""
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # an empty file is reported below, as a parse error
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            raw = np.loadtxt(path, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read PMF file {path}: {exc}")
+    if raw.size == 0:
+        raise ParseError(f"PMF file {path} holds no data")
+    return raw
 
 
 def load_pmf(path: str | Path) -> JointPmf:

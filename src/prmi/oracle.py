@@ -8,8 +8,12 @@ grid points without visiting every pair:
   The trace term is then separable and convex in the lattice counts of the
   second PMF, so an exact per-point search by one-unit transfers between
   coordinates finds its grid optimum.
-- ``grid_min_quantum_qubit`` reduces the tau factor to one row maximum over
-  Bloch directions per sigma, evaluated with the scan kernel of ``_scan``.
+- ``grid_min_quantum_qubit`` fixes sigma at each of its grid points.  The
+  best tau direction at every radius then maximizes one linear function on
+  the unit sphere.  Along each grid axis that function is a unimodal
+  cosine, so its grid maximum is one of four directions found in closed
+  form from the grid angles bracketing its maximizer, and one table over
+  (sigma, tau radius) pairs is left.
 
 Every reported minimum is evaluated in float64.
 """
@@ -21,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _scan
 from .operator_core import (
     DEFAULT_CUT,
     BipartiteState,
@@ -29,12 +32,7 @@ from .operator_core import (
 )
 from .petz_divergence import _check_alpha, _rho_alpha_tensor
 
-_PAULIS = (
-    np.eye(2, dtype=np.complex128),
-    np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    np.array([[1, 0], [0, -1]], dtype=np.complex128),
-)
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 class TooLarge(Exception):
@@ -54,8 +52,9 @@ class OracleResult:
     order one) plus one more for each pass in which that point still moved a
     unit.  With a one-column support it is the number of q grid points.  For
     ``grid_min_quantum_qubit`` on an N-point grid with n radii and (n+1)·n
-    directions it is N·((n+1)·n + n): one product per (sigma, direction)
-    pair plus one per (sigma, radius) pair.
+    directions it is N·(6 + n): per sigma, two candidate azimuths and four
+    candidate directions for the tau direction, then one product per
+    (sigma, radius) pair.
     """
 
     min_value: float
@@ -122,7 +121,7 @@ def _grid_powers(alpha: float, step: float) -> np.ndarray:
 def _argmax_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First row index of each column's maximum, and that maximum, for a (n, L) array.
 
-    n is at most three here; comparing whole rows is several times faster
+    n is at most four here; comparing whole rows is several times faster
     than ``np.argmax(a, axis=0)`` over so short an axis.
     """
     best = a.max(axis=0)
@@ -249,17 +248,29 @@ def grid_min_classical(p_xy, alpha: float, step: float) -> OracleResult:
     )
 
 
-def _bloch_grid(step: float) -> np.ndarray:
-    """(r, theta, phi) product grid: radii are multiples of step below 1.
+def _bloch_axes(step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Radii, polar angles and azimuths of the Bloch grid, with n = round(1/step).
 
-    The radius is the slowest axis, so each radius holds one contiguous block
-    of (n+1)·n directions in the same order.
+    The n radii k·step lie below one, the n + 1 polar angles are a·π·step and
+    the n azimuths b·2π·step.  When 1/step is not an integer the polar angles
+    end short of π or just past it, and the gap from the last azimuth to 2π
+    differs from the others.
     """
     n = round(1.0 / step)
-    r = np.arange(n) * step
-    theta = np.arange(n + 1) * (math.pi * step)
-    phi = np.arange(n) * (2.0 * math.pi * step)
-    rr, tt, pp = np.meshgrid(r, theta, phi, indexing="ij")
+    return (
+        np.arange(n) * step,
+        np.arange(n + 1) * (math.pi * step),
+        np.arange(n) * (2.0 * math.pi * step),
+    )
+
+
+def _bloch_grid(step: float) -> np.ndarray:
+    """(r, theta, phi) product grid of ``_bloch_axes``, one row per point.
+
+    The radius is the slowest axis and the azimuth the fastest, so each radius
+    holds one contiguous block of (n+1)·n directions in the same order.
+    """
+    rr, tt, pp = np.meshgrid(*_bloch_axes(step), indexing="ij")
     return np.stack([rr.ravel(), tt.ravel(), pp.ravel()], axis=1)
 
 
@@ -277,11 +288,66 @@ def _bloch_directions(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     )
 
 
-def _bloch_power_coords(params: np.ndarray, p: float) -> np.ndarray:
-    """Pauli coordinates of sigma^p for sigma with Bloch parameters (r, theta, phi)."""
-    half_sum, half_diff = _bloch_radial(params[:, 0], p)
-    n = _bloch_directions(params[:, 1], params[:, 2])
-    return np.column_stack([half_sum, n * half_diff[:, None]])
+def _azimuth_bracket(angle: np.ndarray, step: float) -> np.ndarray:
+    """The grid azimuths on either side of each angle in [0, 2π], as (2, N) indices.
+
+    Past the last azimuth the bracket wraps to index 0, the azimuth 2π.
+    """
+    n = round(1.0 / step)
+    b = np.minimum(np.floor(angle / (2.0 * math.pi * step)).astype(np.intp), n - 1)
+    return np.stack([b, (b + 1) % n])
+
+
+def _best_directions(v: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """For each column of v (3, N): the grid direction maximizing v · n, and that maximum.
+
+    The direction is returned as its index a·n + b among the (n+1)·n grid
+    directions n(theta_a, phi_b) = (sin theta cos phi, sin theta sin phi,
+    cos theta).  Since v · n = sin theta · |v_xy| cos(phi − phi_v) + v_z cos theta:
+
+    - where sin theta >= 0 the best azimuth maximizes cos(phi − phi_v), which
+      falls with the distance from phi_v around the circle, so it is one of
+      the two grid azimuths bracketing phi_v;
+    - with A the larger of v_x cos phi + v_y sin phi at those two, the
+      objective in theta is A sin theta + v_z cos theta, a cosine peaking at
+      atan2(A, v_z) in [0, π], so the best polar angle up to π is one of the
+      two grid angles bracketing that peak, clipped to the grid;
+    - only the last polar angle can pass π (when 1/step rounds up); there
+      sin theta < 0 and the best azimuth brackets phi_v + π instead.
+
+    The maximum over all (n+1)·n directions is therefore the largest of four
+    candidates, each evaluated in float64.  The brackets use the grid's own
+    spacings, π·step and 2π·step.  Rounding can shift a bracket by one index
+    only where the angle sits on a grid angle, which both brackets then hold.
+    """
+    _, theta, phi = _bloch_axes(step)
+    n = phi.size
+    cos_p, sin_p = np.cos(phi), np.sin(phi)
+    v_x, v_y, v_z = v
+    phi_v = np.arctan2(v_y, v_x)  # in [-π, π]
+
+    def lift(b: np.ndarray) -> np.ndarray:
+        """v_x cos phi + v_y sin phi at the azimuth indices b."""
+        return v_x * cos_p[b] + v_y * sin_p[b]
+
+    b = _azimuth_bracket(np.where(phi_v < 0, phi_v + 2.0 * math.pi, phi_v), step)
+    c = lift(b)
+    better = c[1] > c[0]
+    lifted = np.where(better, c[1], c[0])
+    # lifted >= 0 up to rounding; a +0.0 floor keeps the peak in [0, π]
+    peak = np.arctan2(np.where(lifted > 0, lifted, 0.0), v_z)
+    a = np.minimum(np.floor(peak / (math.pi * step)).astype(np.intp), n)
+    a = np.stack([a, np.minimum(a + 1, n)])
+    south = _azimuth_bracket(phi_v + math.pi, step)
+    vals = np.concatenate(
+        [
+            lifted * np.sin(theta)[a] + v_z * np.cos(theta)[a],
+            math.sin(theta[n]) * lift(south) + v_z * math.cos(theta[n]),
+        ]
+    )
+    cand = np.concatenate([a * n + np.where(better, b[1], b[0]), n * n + south])
+    pick, best = _argmax_rows(vals)
+    return cand[pick, np.arange(v.shape[1])], best
 
 
 def grid_min_quantum_qubit(
@@ -301,46 +367,45 @@ def grid_min_quantum_qubit(
     half difference hd_k = (lam_+^p - lam_-^p)/2 with p = 1 - alpha has the
     sign of 1 - alpha, and S is maximized below order one and minimized above
     it, so in both cases the best tau at radius k takes the direction that
-    maximizes w_i[1:] · n.  The scan therefore needs one row maximum over the
-    directions per sigma (float32, N·(n+1)·n products), a float64 pass over
-    the N·n (sigma, radius) pairs, and one float64 row to recover the
-    direction; S at the chosen pair is then evaluated in float64.  The result
-    is the minimum over all N² grid pairs, up to the float32 rounding of the
-    direction maxima when two candidates nearly tie.
-    ``evaluations`` is N·((n+1)·n + n).
+    maximizes w_i[1:] · n.  That maximum has a closed form over the grid
+    (``_best_directions``, four candidate directions per sigma), so what is
+    left is one float64 table over the N·n (sigma, radius) pairs, whose
+    extreme is the minimum over all N² grid pairs.  ``evaluations`` is
+    N·(6 + n).
     """
     if rho_ab.d_a != 2 or rho_ab.d_b != 2:
         raise TooLarge("quantum oracle limited to two qubits")
     _check_step(step)
     _check_alpha(alpha)
 
-    ra = _rho_alpha_tensor(rho_ab, alpha, cut).reshape(4, 4)
-    g = np.empty((4, 4))
-    for k in range(4):
-        for l in range(4):
-            g[k, l] = float(np.trace(ra @ np.kron(_PAULIS[k], _PAULIS[l])).real)
-
-    p = 1.0 - alpha
-    params = _bloch_grid(step)
-    n_dirs = len(params) // round(1.0 / step)
-    half_sum, half_diff = _bloch_radial(params[::n_dirs, 0], p)
-    dirs = _bloch_directions(params[:n_dirs, 1], params[:n_dirs, 2])
-    w = _bloch_power_coords(params, p) @ g  # S_ij = w_i · (coordinates of tau_j^p)
+    # g_kl = tr[rho^alpha (P_k ⊗ P_l)]
+    g = np.einsum("abcd,kca,ldb->kl", _rho_alpha_tensor(rho_ab, alpha, cut), _PAULIS, _PAULIS).real
+    radii, theta, phi = _bloch_axes(step)
+    n = radii.size
+    half_sum, half_diff = _bloch_radial(radii, 1.0 - alpha)
+    dirs = _bloch_directions(np.repeat(theta, n), np.tile(phi, n + 1))
+    # sigma^(1-alpha) at radius k and direction n has Pauli coordinates (hs_k, hd_k n);
+    # w holds one column per grid sigma, in _bloch_grid's order
+    w = g[0][:, None, None] * half_sum[:, None] + (g[1:].T @ dirs.T)[:, None] * half_diff[:, None]
+    w = w.reshape(4, -1)
 
     # D = log(S)/(alpha-1): maximize S below 1, minimize above.  Either way the
     # best direction maximizes w_i[1:] · n, as half_diff has the sign of 1 - alpha.
-    e = _scan.row_extremes(w[:, 1:], dirs, want_max=True).astype(np.float64)
-    per_radius = np.outer(w[:, 0], half_sum) + np.outer(e, half_diff)
+    d, e = _best_directions(w[1:], step)
+    per_radius = np.stack([w[0], e], axis=1) @ np.stack([half_sum, half_diff])
     flat = int(np.argmax(per_radius) if alpha < 1 else np.argmin(per_radius))
-    i, k = divmod(flat, half_sum.size)
-    j = k * n_dirs + int(np.argmax(dirs @ w[i, 1:]))
-    s_best = float(w[i] @ _bloch_power_coords(params[j : j + 1], p)[0])
-    value = _divergence_from_trace_term(s_best, alpha)
+    i, k = divmod(flat, n)
+    j = int(d[i])
+    s_best = float(w[0, i] * half_sum[k] + half_diff[k] * (w[1:, i] @ dirs[j]))
+
+    def point(radius: int, direction: int) -> list[float]:
+        return [radii[radius], theta[direction // n], phi[direction % n]]
+
     return OracleResult(
-        min_value=value,
-        argmin_params=np.concatenate([params[i], params[j]]),
+        min_value=_divergence_from_trace_term(s_best, alpha),
+        argmin_params=np.array(point(*divmod(i, dirs.shape[0])) + point(k, j)),
         grid_step=step,
-        evaluations=len(params) * (n_dirs + half_sum.size),
+        evaluations=w.shape[1] * (6 + n),
     )
 
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -261,6 +262,22 @@ class TestMain:
         assert main(argv + ["--trace-out", str(tmp_path / "trace.json")]) == EXIT_INVALID
         assert capsys.readouterr().err == "error: nonnegativity: PMF weights must be nonnegative\n"
 
+    @pytest.mark.parametrize("role", ["pmf", "init"])
+    def test_empty_csv_is_a_parse_error(self, tmp_path, capsys, role):
+        """An empty CSV is reported on one stderr line, with no numpy warning."""
+        pmf = tmp_path / "pmf.csv"
+        init = tmp_path / "q.csv"
+        pmf.write_text("" if role == "pmf" else "0.4,0.1\n0.1,0.4\n")
+        init.write_text("")
+        argv = [str(pmf), "--mode", "classical", "--alpha", "1.5"]
+        argv += ["--init", f"file:{init}"] if role == "init" else []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + ["--trace-out", str(tmp_path / "trace.json")]) == EXIT_INVALID
+        assert caught == []
+        empty = pmf if role == "pmf" else init
+        assert capsys.readouterr().err == f"error: PMF file {empty} holds no data\n"
+
     def test_classical_init_must_be_one_row(self, tmp_path, capsys):
         pmf = tmp_path / "pmf.csv"
         pmf.write_text("\n".join([",".join(["0.0625"] * 4)] * 4) + "\n")
@@ -291,6 +308,23 @@ class TestMain:
         argv = [str(correlated_file), "--init", f"file:{bad}"] if role == "init" else [str(bad)]
         assert main(argv + ["--alpha", "1.5", "--trace-out", str(tmp_path / "t.json")]) == EXIT_INVALID
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("role", ["state", "init"])
+    def test_infinite_entry_named_finiteness(self, correlated_file, tmp_path, capsys, role):
+        text = correlated_file.read_text()
+        assert '"re": 0.5' in text
+        bad = tmp_path / "inf.json"
+        bad.write_text(text.replace('"re": 0.5', '"re": 1e999', 1))
+        argv = [str(correlated_file), "--init", f"file:{bad}"] if role == "init" else [str(bad)]
+        assert main(argv + ["--alpha", "1.5", "--trace-out", str(tmp_path / "t.json")]) == EXIT_INVALID
+        assert capsys.readouterr().err == "error: finiteness: entries contain non-finite values\n"
+
+    def test_non_square_initializer_is_a_parse_error(self, correlated_file, tmp_path, capsys):
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps({"matrix": [[{"re": 1.0}, {"re": 0.0}]]}))
+        argv = [str(correlated_file), "--init", f"file:{init}", "--alpha", "1.5"]
+        assert main(argv + ["--trace-out", str(tmp_path / "t.json")]) == EXIT_INVALID
+        assert capsys.readouterr().err == "error: matrix must be square, got shape (1, 2)\n"
 
     @pytest.mark.parametrize("mode", ["quantum", "classical"])
     @pytest.mark.parametrize("extra", [[], ["--uncertified"]])

@@ -19,7 +19,7 @@ from prmi import (
     d_alpha_classical,
     random_density,
 )
-from prmi.oracle import _bloch_grid, simplex_grid
+from prmi.oracle import _best_directions, _bloch_grid, simplex_grid
 from prmi import _scan
 
 
@@ -221,6 +221,47 @@ def _brute_force_qubit_min(rho, alpha, step):
     return max(math.log(s_best) / (alpha - 1.0), 0.0)
 
 
+class TestBestDirections:
+    """The closed-form direction search of the qubit oracle against every grid direction."""
+
+    @pytest.mark.parametrize("step", [0.1, 0.07, 0.095, 0.05])
+    def test_matches_exhaustive_maximum(self, step):
+        def unit(theta, phi):
+            return np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+
+        n = round(1.0 / step)
+        theta, phi = _bloch_grid(step)[: (n + 1) * n, 1:].T  # the directions of one radius
+        gaps = (phi[:n] + np.append(phi[1:n], 2 * np.pi)) / 2
+        polar = np.concatenate([theta[::n], (theta[:-n:n] + theta[n::n]) / 2])
+        # v on and between the grid angles, at phi_v = ±π, zero, ±z and in general position
+        on_grid = unit(*np.meshgrid(polar, np.concatenate([phi[:n], gaps, [np.pi, -np.pi]])))
+        rng = np.random.default_rng(17)
+        v = np.concatenate(
+            [on_grid.reshape(3, -1), rng.standard_normal((3, 500)), [[0, 0, 0], [0, 0, 0], [0, 1, -1]]],
+            axis=1,
+        )
+        exhaustive = unit(theta, phi).T @ v
+        index, best = _best_directions(v, step)
+        assert np.allclose(best, exhaustive.max(axis=0), rtol=0, atol=1e-12)
+        assert np.allclose(exhaustive[index, np.arange(v.shape[1])], best, rtol=0, atol=1e-12)
+
+
+def _structured_qubit_state(kind):
+    """Two-qubit states that put the oracle's best directions w_i[1:] on the closed form's edges."""
+    rng = np.random.default_rng(41)
+    if kind == "maximally mixed":  # w_i[1:] = 0 for every sigma
+        return uniform_state(2, 2)
+    if kind == "diagonal":  # w_i[1:] on the z axis
+        p = rng.random(4)
+        return BipartiteState.from_matrix(np.diag(p / p.sum()), 2, 2)
+    if kind == "product":
+        return random_product_state(2, 2, rng)
+    if kind == "real":  # for sigma in the xz plane, w_i[1:] has azimuth 0 or ±π
+        a = rng.standard_normal((4, 4))
+        return BipartiteState.from_matrix(a @ a.T / np.trace(a @ a.T), 2, 2)
+    return BipartiteState.from_operator(random_density(4, rng, rank=1), 2, 2)
+
+
 class TestQuantumOracle:
     def test_product_state_minimum_zero(self, rng):
         rho = random_product_state(2, 2, rng)
@@ -239,7 +280,7 @@ class TestQuantumOracle:
         assert fine.min_value <= coarse.min_value + 1e-12
         for res, n in [(coarse, 10), (fine, 20)]:
             grid_points = n * (n + 1) * n
-            assert res.evaluations == grid_points * ((n + 1) * n + n)
+            assert res.evaluations == grid_points * (6 + n)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.75, 1.5, 2.0, 4.0])
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
@@ -256,6 +297,23 @@ class TestQuantumOracle:
             tau = _bloch_state(res.argmin_params[3:])
             product = HermitianOperator.from_entries(np.kron(sigma, tau))
             assert d_alpha(rho.op, product, alpha) == pytest.approx(res.min_value, abs=1e-10)
+
+    # 1/0.07 and 1/0.095 are not integers: at 0.07 the polar angles stop short
+    # of π and the azimuths leave a wider gap before 2π; at 0.095 the last
+    # polar angle passes π, so its best azimuth is the opposite one
+    @pytest.mark.parametrize("step", [0.1, 0.07, 0.095])
+    @pytest.mark.parametrize("alpha", [0.6, 1.5, 4.0])
+    @pytest.mark.parametrize(
+        "kind", ["maximally mixed", "diagonal", "product", "real", "rank 1"]
+    )
+    def test_closed_form_edge_cases(self, kind, alpha, step):
+        rho = _structured_qubit_state(kind)
+        res = grid_min_quantum_qubit(rho, alpha, step)
+        assert res.min_value == pytest.approx(_brute_force_qubit_min(rho, alpha, step), abs=1e-9)
+        sigma = _bloch_state(res.argmin_params[:3])
+        tau = _bloch_state(res.argmin_params[3:])
+        product = HermitianOperator.from_entries(np.kron(sigma, tau))
+        assert d_alpha(rho.op, product, alpha) == pytest.approx(res.min_value, abs=1e-10)
 
     def test_sandwich_against_engine(self, rng):
         rho = random_state(2, 2, rng)
