@@ -7,7 +7,11 @@ grid points without visiting every pair:
 - ``grid_min_classical`` fixes the first PMF q at each of its grid points.
   The trace term is then separable and convex in the lattice counts of the
   second PMF, so an exact per-point search by one-unit transfers between
-  coordinates finds its grid optimum.
+  coordinates finds its grid optimum.  Its grid step must be 1/m for an
+  integer m, so that every grid point is a PMF.  The integer lattice of
+  each (outcomes, m) is built once and shared read-only between calls;
+  above order one the q points with no zero on the support are built
+  directly, as a smaller lattice shifted up by one on the support rows.
 - ``grid_min_quantum_qubit`` fixes sigma at each of its grid points.  The
   best tau direction at every radius then maximizes one linear function on
   the unit sphere.  Along each grid axis that function is a unimodal
@@ -20,6 +24,7 @@ Every reported minimum is evaluated in float64.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,7 +44,7 @@ class TooLarge(Exception):
     """Input exceeds the desk-scale limits of the brute-force oracle."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OracleResult:
     """Grid minimum of the divergence over product states.
 
@@ -48,13 +53,16 @@ class OracleResult:
     ``(r, theta, phi)`` of sigma then tau for ``grid_min_quantum_qubit``.
     ``evaluations`` counts the work the search did.  For
     ``grid_min_classical`` it is the number of transfer-optimality checks:
-    one per q grid point (those with a zero on the support are skipped above
-    order one) plus one more for each pass in which that point still moved a
-    unit.  With a one-column support it is the number of q grid points.  For
+    one per q grid point (above order one, only the points with no zero on
+    the support) plus one more for each pass in which that point still moved
+    a unit.  With a one-column support it is the number of q grid points.  For
     ``grid_min_quantum_qubit`` on an N-point grid with n radii and (n+1)·n
     directions it is N·(6 + n): per sigma, two candidate azimuths and four
     candidate directions for the tau direction, then one product per
     (sigma, radius) pair.
+
+    Results have slots and no per-instance dict, since a validation loop may
+    hold many of them at once.
     """
 
     min_value: float
@@ -66,6 +74,19 @@ class OracleResult:
 def _check_step(step: float) -> None:
     if not 0.0 < step <= 0.1:
         raise ValueError(f"step must lie in (0, 0.1], got {step}")
+
+
+def _simplex_size(step: float) -> int:
+    """The lattice sum m = 1/step of a simplex grid, which must be an integer.
+
+    Grid coordinates are lattice counts times ``step``, with the counts
+    summing to m, so for any other step the points sum to m·step, not one.
+    """
+    _check_step(step)
+    m = round(1.0 / step)
+    if abs(m * step - 1.0) > 1e-9:
+        raise ValueError(f"simplex grid step must be 1/m for an integer m, got {step}")
+    return m
 
 
 def _divergence_from_trace_term(s_best: float, alpha: float) -> float:
@@ -80,32 +101,41 @@ def _divergence_from_trace_term(s_best: float, alpha: float) -> float:
     return max(math.log(s_best) / (alpha - 1.0), 0.0)
 
 
+@functools.lru_cache(maxsize=8)
 def _simplex_counts(k: int, m: int) -> np.ndarray:
-    """Integer points of {n in N^k : sum n = m}, one column each, as a (k, N) array.
+    """Integer points of {n in N^k : sum n = m}, one column each, as a read-only (k, N) array.
 
-    Columns run with the first count slowest and the second next.
+    Columns run with the first count slowest and the second next, which is
+    lexicographic order, so adding one vector to every column keeps it.
+    The array depends on (k, m) alone, so it is built once and shared by
+    every caller; the 8 most recently used lattices are kept.  The largest
+    this module builds, three outcomes at m = 1000 (step 1e-3), is
+    501501 x 3 int64, about 12 MB, so the cache holds at most about 96 MB.
     """
     if k == 1:
-        return np.array([[m]])
-    if k == 2:
+        counts = np.array([[m]])
+    elif k == 2:
         i = np.arange(m + 1)
-        return np.stack([i, m - i])
-    if k == 3:
+        counts = np.stack([i, m - i])
+    elif k == 3:
         lengths = np.arange(m + 1, 0, -1)  # first count i leaves m - i + 1 choices
         i = np.repeat(np.arange(m + 1), lengths)
         j = np.arange(i.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        return np.stack([i, j, m - i - j])
-    raise TooLarge(f"simplex grid supports at most 3 outcomes, got {k}")
+        counts = np.stack([i, j, m - i - j])
+    else:
+        raise TooLarge(f"simplex grid supports at most 3 outcomes, got {k}")
+    counts.flags.writeable = False
+    return counts
 
 
 def simplex_grid(k: int, step: float) -> np.ndarray:
     """All barycentric grid points of the (k-1)-simplex with spacing ``step``.
 
-    Coordinates are integer multiples of ``step``; refining the step by an
-    integer factor yields a superset with bit-identical common points.
+    Coordinates are integer multiples of ``step``, which must be 1/m for an
+    integer m; refining the step by an integer factor yields a superset with
+    bit-identical common points.  The returned array is a fresh copy.
     """
-    _check_step(step)
-    return _simplex_counts(k, round(1.0 / step)).T.astype(np.float64, order="C") * step
+    return _simplex_counts(k, _simplex_size(step)).T.astype(np.float64, order="C") * step
 
 
 def _grid_powers(alpha: float, step: float) -> np.ndarray:
@@ -187,8 +217,10 @@ def _transfer_search(c: np.ndarray, alpha: float, g: np.ndarray) -> tuple[np.nda
         if live.size == 0:
             return k, checks
         checks += live.size
-        kk = np.take(k, live, axis=1)
-        cc = np.take(c, live, axis=1)
+        if live.size == L:  # every column: read k and c in place
+            kk, cc = k, c
+        else:
+            kk, cc = np.take(k, live, axis=1), np.take(c, live, axis=1)
         up = cc * pad[kk + 1]
         up[kk == m] = np.inf
         down = cc * pad[kk]
@@ -211,8 +243,12 @@ def grid_min_classical(p_xy, alpha: float, step: float) -> OracleResult:
     and the best q point is taken.  The search runs on the columns of P's
     support only: r mass off it adds nothing to S, and moving it onto the
     support never lowers S below order one nor raises it above, so some
-    grid optimum puts none there.  Raw weights are validated as a
-    ``JointPmf``.
+    grid optimum puts none there.  Above order one S is +inf where q
+    vanishes on P's row support, so the q grid is only the points with a
+    count of at least one on each support row: the lattice of m − |supp|
+    shifted up by one on those rows, in the full lattice's column order.
+    ``step`` must be 1/m for an integer m, else ``ValueError``.  Raw weights
+    are validated as a ``JointPmf``.
     """
     from .classical_rmi import _validated_joint
 
@@ -220,7 +256,7 @@ def grid_min_classical(p_xy, alpha: float, step: float) -> OracleResult:
     nx, ny = P.shape
     if nx > 3 or ny > 3:
         raise TooLarge(f"classical oracle limited to 3x3, got {nx}x{ny}")
-    _check_step(step)
+    m = _simplex_size(step)
     _check_alpha(alpha)
 
     wa = np.zeros_like(P)
@@ -229,9 +265,10 @@ def grid_min_classical(p_xy, alpha: float, step: float) -> OracleResult:
     active_y = P.sum(axis=0) > 0
     g = _grid_powers(alpha, step)
 
-    q = _simplex_counts(nx, g.size - 1)
-    if alpha > 1:  # the objective is +inf where q vanishes on the support
-        q = q[:, np.all(q[active_x] > 0, axis=0)]
+    if alpha > 1:
+        q = _simplex_counts(nx, m - int(active_x.sum())) + active_x[:, None]
+    else:
+        q = _simplex_counts(nx, m)
     # one row per support column, C order: the search reduces over that short axis
     c = np.ascontiguousarray(wa[active_x][:, active_y].T @ g[q[active_x]])
     k, checks = _transfer_search(c, alpha, g)

@@ -19,7 +19,7 @@ from prmi import (
     d_alpha_classical,
     random_density,
 )
-from prmi.oracle import _best_directions, _bloch_grid, simplex_grid
+from prmi.oracle import _best_directions, _bloch_grid, _simplex_counts, simplex_grid
 from prmi import _scan
 
 
@@ -28,9 +28,18 @@ class TestSimplexGrid:
         assert len(simplex_grid(2, 0.1)) == 11
         assert len(simplex_grid(3, 0.1)) == 66
 
-    def test_rows_sum_to_one(self):
-        g = simplex_grid(3, 0.05)
+    @pytest.mark.parametrize("step", [0.1, 0.05, 0.02, 1e-3])
+    def test_rows_sum_to_one(self, step):
+        g = simplex_grid(3, step)
         assert np.allclose(g.sum(axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("step", [0.07, 0.095])
+    def test_step_must_divide_one(self, step):
+        # round(1/step)·step is 0.98 or 1.045: such grid points are not PMFs
+        with pytest.raises(ValueError, match="integer m"):
+            simplex_grid(3, step)
+        with pytest.raises(ValueError, match="integer m"):
+            grid_min_classical(np.outer([0.5, 0.5], [0.5, 0.5]), 2.0, step)
 
     def test_refinement_is_superset(self):
         coarse = simplex_grid(2, 0.1)
@@ -38,6 +47,29 @@ class TestSimplexGrid:
         coarse_set = {tuple(row) for row in coarse}
         fine_set = {tuple(row) for row in fine}
         assert coarse_set <= fine_set
+
+    @pytest.mark.parametrize("m", [10, 37, 100])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_shifted_lattice_is_the_masked_one(self, k, m):
+        # grid_min_classical's q grid above order one, against the mask it replaced
+        for active in itertools.product([False, True], repeat=k):
+            active = np.array(active)
+            if not active.any():
+                continue
+            full = _simplex_counts(k, m)
+            masked = full[:, np.all(full[active] > 0, axis=0)]
+            shifted = _simplex_counts(k, m - int(active.sum())) + active[:, None]
+            assert shifted.dtype == masked.dtype
+            np.testing.assert_array_equal(shifted, masked)
+
+    def test_lattice_is_shared_read_only(self):
+        counts = _simplex_counts(3, 20)
+        assert _simplex_counts(3, 20) is counts
+        with pytest.raises(ValueError):
+            counts[0, 0] = 1
+        grid = simplex_grid(3, 0.05)
+        grid[0, 0] = 0.5
+        assert simplex_grid(3, 0.05)[0, 0] == 0.0
 
 
 class TestScanKernels:
@@ -181,12 +213,19 @@ class TestClassicalOracle:
             grid_min_classical(random_pmf((2, 2), rng), 2.0, 0.5)
 
     def test_argmin_params_are_simplex_points(self, rng):
-        p = random_pmf((2, 3), rng)
-        res = grid_min_classical(p, 1.5, 0.02)
-        q, r = res.argmin_params[:2], res.argmin_params[2:]
-        assert q.sum() == pytest.approx(1.0, abs=1e-9)
-        assert r.sum() == pytest.approx(1.0, abs=1e-9)
-        assert res.evaluations > 0
+        # zero rows and columns too: the q grid above order one is built per support
+        for p in [random_pmf((2, 3), rng), *_pmfs_with_zeros((3, 3), rng)]:
+            for alpha in [0.75, 1.5]:
+                res = grid_min_classical(p, alpha, 0.02)
+                q, r = res.argmin_params[: p.shape[0]], res.argmin_params[p.shape[0] :]
+                assert q.sum() == pytest.approx(1.0, abs=1e-9)
+                assert r.sum() == pytest.approx(1.0, abs=1e-9)
+                assert res.evaluations > 0
+
+    def test_result_has_no_instance_dict(self):
+        # bulk validation holds many results; slots keep each one small
+        res = grid_min_classical(np.outer([0.5, 0.5], [0.5, 0.5]), 2.0, 0.1)
+        assert not hasattr(res, "__dict__")
 
 
 _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
