@@ -30,8 +30,9 @@ the limit.
   g(gamma^(2n) c0), so no run takes more steps than the a priori n*.
 
 d_n is the computed d_H(sigma_{n-1}, sigma_n) (the steppers'
-``step_distance``; +inf after a support change, which leaves the a priori
-term) plus a floor f/gamma^2, f = 64 (d_A + d_B) eps kappa.  Rounding
+``step_distance``; +inf at step 1 only, from an initializer of lower rank
+than rho_A, which leaves the a priori term) plus a floor f/gamma^2,
+f = 64 (d_A + d_B) eps kappa.  Rounding
 enters twice.  Whitening sigma_n by sigma_{n-1}^(-1/2) turns an absolute
 error of order eps lambda_max(sigma_n) into a relative one of order
 eps kappa(sigma_{n-1}).  And the computed sigma_n equals the exact step from
@@ -68,10 +69,11 @@ constants all ask it, from the stepper's class and before a run is set up,
 so an order without a certificate costs no set-up.  The engine imports no
 reference of its own: the einsum partial minimizers and the sampled
 contraction probe it is checked against are in ``tests/references.py``.
-Each quantum half-step's eigendecomposition goes through
-``operator_core.support_eigh``, the one cutoff eigendecomposition; the
-classical stepper applies the same cutoff rule, ``support_mask``, to
-vectors.
+Both steppers fix an iterate's support at set-up, as the iteration keeps
+it in exact arithmetic, and no half-step applies the relative cutoff: a
+quantum half-step keeps the r largest eigenpairs of its matrix, r the rank
+of rho_A or rho_B at the cutoff (``_AmRun._keep``), and the classical one
+powers on the marginal supports of P^alpha.
 
 The trace ``_drive`` returns keeps the final eigenpairs (the final PMFs of a
 classical run) behind two builders from ``run.operators()``:
@@ -82,7 +84,8 @@ matrix, is freed when ``_drive`` returns.
 Set-up.  What a solve needs from the state alone is decomposed once per
 ``BipartiteState`` and cached on it: the spectrum of rho, from which each
 order builds rho^alpha, and the A marginal with its spectrum.  Every order
-of a sweep and every cutoff starts from those arrays.  ``_AmRun`` always
+of a sweep and every cutoff starts from those arrays, as do the support
+ranks, read off them with the B marginal's eigenvalues.  ``_AmRun`` always
 starts from the eigenpairs of the restricted initializer (``_AmRun.initial``).
 For the marginal initializer they are (w_s/sum w_s, V_s), the support part of
 the cached marginal spectrum at the run's cutoff, so it costs no
@@ -123,6 +126,7 @@ from .operator_core import (
     _overlap,
     _power,
     support_eigh,
+    support_mask,
     support_pairs,
 )
 from .petz_divergence import DomainViolation, _check_alpha, _rho_alpha_tensor
@@ -146,6 +150,7 @@ TERMINATED_MAX_ITER = "max_iter"
 _INIT_CHOICES = ("marginal", "uniform", "explicit")
 
 _EPS = float(np.finfo(np.float64).eps)
+_NO_CUT = SupportCutoff(0.0)
 
 
 @dataclass(frozen=True)
@@ -279,12 +284,9 @@ def _compress(sigma0: HermitianOperator, vs: np.ndarray, cut: SupportCutoff) -> 
     return compressed / tr
 
 
-def _factor(mat: np.ndarray, cut: SupportCutoff) -> tuple[np.ndarray, np.ndarray]:
-    """Support eigenpairs of an iterate's matrix; the zero operator is a collapse."""
-    vals, vecs = support_eigh(mat, cut)
-    if not vals.size:
-        raise DomainViolation("iterate collapsed to the zero operator")
-    return vals, vecs
+def _rank(w: np.ndarray, cut: SupportCutoff) -> int:
+    """Support rank at the cutoff of an ascending spectrum."""
+    return int(np.count_nonzero(support_mask(w, cut, float(w[-1]))))
 
 
 def _operator(vals: np.ndarray, vecs: np.ndarray) -> HermitianOperator:
@@ -303,8 +305,9 @@ class _AmRun:
     set-up.  ``sigma0`` is the restricted initializer in that form
     (``initial``); the run is built half-stepped, with tau, x and q of
     sigma0.  The maps contract d_H for orders in (1, ``linear_max``].
-    Operators are built only on request, by the builders ``operators``
-    returns.
+    ``rank_a`` and ``rank_b``, the support ranks of rho_A and rho_B at the
+    cutoff, are the ranks every sigma and tau keep (``_keep``).  Operators
+    are built only on request, by the builders ``operators`` returns.
     """
 
     linear_max = 2.0
@@ -339,10 +342,27 @@ class _AmRun:
         r4 = _rho_alpha_tensor(rho_ab, alpha, cut)
         # m[(a, c), (b, d)] = r4[a, b, c, d], so each half-step is a gemv from one side.
         self.m = r4.transpose(0, 2, 1, 3).reshape(self.d_a**2, self.d_b**2)
+        self.rank_a = _rank(rho_ab.marginal_spectrum[0], cut)
+        self.rank_b = _rank(rho_ab._marginal_b_spectrum, cut)
         self.sigma_vals, self.sigma_vecs = sigma0
         self.sigma0_min = float(self.sigma_vals[0])
         self.prev_sigma: tuple[np.ndarray, np.ndarray] | None = None
         self.a_to_b()
+
+    def _keep(self, mat: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ``rank`` largest eigenpairs of a half-step matrix: the iterate on its fixed support.
+
+        ``support_pairs`` at a zero threshold applies the PSD guard and drops a
+        nonpositive eigenvalue.  Above order one a dropped direction leaves
+        the Petz domain, so it raises; below it the direction weighs zero,
+        unless every direction is dropped.
+        """
+        vals, vecs = support_eigh(mat, _NO_CUT)
+        if vals.size > rank:
+            return vals[-rank:], vecs[:, -rank:]
+        if vals.size < rank and (self.alpha > 1.0 or not vals.size):
+            raise DomainViolation(f"iterate kept {vals.size} of its {rank} support directions")
+        return vals, vecs
 
     def _dual_t(self, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
         """(V diag(vals^(1-alpha)) V^dag)^T, C-contiguous, as the flat gemv operand."""
@@ -352,7 +372,7 @@ class _AmRun:
         """Update tau from sigma; refresh the objective via the closed form."""
         s_t = self._dual_t(self.sigma_vals, self.sigma_vecs)
         w_mat = (s_t @ self.m).reshape(self.d_b, self.d_b)
-        vals, vecs = _factor(w_mat, self.cut)
+        vals, vecs = self._keep(w_mat, self.rank_b)
         t = vals**self._inv
         ssum = float(t.sum())
         self.tau_vals = t / ssum
@@ -363,7 +383,7 @@ class _AmRun:
     def b_to_a(self) -> None:
         """Update sigma from tau."""
         w_mat = (self.m @ self._dual_t(self.tau_vals, self.tau_vecs)).reshape(self.d_a, self.d_a)
-        vals, vecs = _factor(w_mat, self.cut)
+        vals, vecs = self._keep(w_mat, self.rank_a)
         s = vals**self._inv
         self.sigma_vals = s / float(s.sum())
         self.sigma_vecs = vecs
@@ -374,7 +394,7 @@ class _AmRun:
         self.a_to_b()
 
     def step_distance(self) -> float:
-        """d_H(sigma_{n-1}, sigma_n) plus the rounding floor; +inf when the support changed.
+        """d_H(sigma_{n-1}, sigma_n) plus the rounding floor; +inf when sigma_0 had a lower rank.
 
         The new sigma is whitened in the previous one's eigenbasis: one
         r x r product gives the ``_overlap`` factor, and one ``eigvalsh``
@@ -399,12 +419,12 @@ class _AmRun:
     def lambda_a(self) -> float:
         """Smallest supported eigenvalue of the A marginal of rho^alpha."""
         marginal = (self.m @ np.eye(self.d_b).ravel()).reshape(self.d_a, self.d_a)
-        return float(_factor(marginal, self.cut)[0][0])
+        return float(support_eigh(marginal, self.cut)[0][0])
 
     def lambda_b(self) -> float:
         """Smallest supported eigenvalue of the B marginal of rho^alpha."""
         marginal = (np.eye(self.d_a).ravel() @ self.m).reshape(self.d_b, self.d_b)
-        return float(_factor(marginal, self.cut)[0][0])
+        return float(support_eigh(marginal, self.cut)[0][0])
 
 
 def _restricted_pairs(
@@ -412,7 +432,7 @@ def _restricted_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of ``restrict_initializer(sigma0, rho_A, cut)``, factored at r x r."""
     vs = support_pairs(*rho_ab.marginal_spectrum, cut)[1]
-    vals, vecs = _factor(_compress(sigma0, vs, cut), cut)
+    vals, vecs = support_eigh(_compress(sigma0, vs, cut), cut)
     return vals, vs @ vecs
 
 

@@ -12,8 +12,9 @@ error unless ``--uncertified`` is given, which runs the plain iteration for
 ``--max-iter`` steps instead.
 
 Exit codes: 0 when every run terminated on its certificate, 2 on validation
-or range errors, 3 when an iteration cap was hit without a certificate, 4 when
-a trace document could not be written.
+or range errors and when an iterate leaves its support above order one
+(``DomainViolation``), 3 when an iteration cap was hit without a certificate,
+4 when a trace document could not be written.
 """
 
 from __future__ import annotations

@@ -304,9 +304,9 @@ class BipartiteState:
 
     Everything a solve needs from the state alone is computed on first use
     and kept on the instance, read-only: the spectrum of ``op``, the two
-    marginals and the spectrum of the A marginal.  Every order of a sweep
-    and every cutoff starts from the same arrays; two states with equal
-    entries share nothing.
+    marginals, the spectrum of the A marginal and the eigenvalues of the B
+    marginal.  Every order of a sweep and every cutoff starts from the same
+    arrays; two states with equal entries share nothing.
     """
 
     d_a: int
@@ -364,3 +364,10 @@ class BipartiteState:
         w, v = np.linalg.eigh(self.marginal_a().entries)
         w.flags.writeable = v.flags.writeable = False
         return w, v
+
+    @cached_property
+    def _marginal_b_spectrum(self) -> np.ndarray:
+        """Read-only ascending eigenvalues of the B marginal, for its support rank."""
+        w = np.linalg.eigvalsh(self.marginal_b().entries)
+        w.flags.writeable = False
+        return w

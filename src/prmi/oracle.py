@@ -301,16 +301,6 @@ def _bloch_axes(step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def _bloch_grid(step: float) -> np.ndarray:
-    """(r, theta, phi) product grid of ``_bloch_axes``, one row per point.
-
-    The radius is the slowest axis and the azimuth the fastest, so each radius
-    holds one contiguous block of (n+1)·n directions in the same order.
-    """
-    rr, tt, pp = np.meshgrid(*_bloch_axes(step), indexing="ij")
-    return np.stack([rr.ravel(), tt.ravel(), pp.ravel()], axis=1)
-
-
 def _bloch_radial(r: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
     """Half sum and half difference of the eigenvalue powers ((1 ± r)/2)^p."""
     fp = ((1.0 + r) / 2.0) ** p
@@ -395,9 +385,9 @@ def grid_min_quantum_qubit(
 ) -> OracleResult:
     """Exact Bloch-grid minimum of the divergence over qubit product states.
 
-    Both factors range over the Bloch-ball grid of ``_bloch_grid`` (N points:
-    n radii strictly below one, so every grid state is full rank, times
-    (n+1)·n directions).  In Pauli coordinates the trace term is the bilinear
+    Both factors range over the Bloch-ball product grid of ``_bloch_axes``
+    (N points: n radii strictly below one, so every grid state is full rank,
+    times (n+1)·n directions).  In Pauli coordinates the trace term is the bilinear
     form S_ij = w_i · v_j with w = u g, where u_i are the coordinates of
     sigma_i^(1-alpha), g pairs rho^alpha with Pauli products, and
     v_j = (hs_k, hd_k n) for tau_j at radius k and direction n.  The
@@ -422,7 +412,7 @@ def grid_min_quantum_qubit(
     half_sum, half_diff = _bloch_radial(radii, 1.0 - alpha)
     dirs = _bloch_directions(np.repeat(theta, n), np.tile(phi, n + 1))
     # sigma^(1-alpha) at radius k and direction n has Pauli coordinates (hs_k, hd_k n);
-    # w holds one column per grid sigma, in _bloch_grid's order
+    # w holds one column per grid sigma: radius slowest, then polar angle, then azimuth
     w = g[0][:, None, None] * half_sum[:, None] + (g[1:].T @ dirs.T)[:, None] * half_diff[:, None]
     w = w.reshape(4, -1)
 

@@ -13,6 +13,13 @@ No solve, CLI run or oracle calls these, so they live with the tests:
 - ``contraction_probe``: the sampled contraction ratio of the A-to-B map in
   d_H; ``projective_diameter_from_vectors``: a lower bound on that map's
   projective diameter.
+- ``bloch_grid``: the qubit oracle's grid, one (r, theta, phi) row per
+  point, for the brute-force scans the oracle is checked against.
+- ``pure_state_value`` and ``maximally_correlated_value``: the exact
+  minimum of the information for a pure state and for a maximally
+  correlated PMF or diagonal state, at every order above 1/2 and every
+  size, as Renyi entropies (``renyi_entropy``) of the weights; a product
+  state's minimum is 0.
 
 Import them as the tests import ``conftest``: ``from references import ...``.
 """
@@ -39,6 +46,7 @@ from prmi.operator_core import (
     random_density,
     support_pairs,
 )
+from prmi.oracle import _bloch_axes
 from prmi.petz_divergence import (
     DomainViolation,
     _check_alpha,
@@ -294,3 +302,44 @@ def projective_diameter_from_vectors(
         for j in range(i + 1, len(mats)):
             delta = max(delta, d_h(mats[i], mats[j], cut))
     return delta
+
+
+# ---------------------------------------------------------------- closed-form values
+
+
+def renyi_entropy(weights, order: float) -> float:
+    """H_order(p) = log(sum p^order) / (1 - order) on the nonzero weights of a PMF; order != 1."""
+    p = np.asarray(weights, dtype=np.float64)
+    return math.log(float(np.sum(p[p > 0] ** order))) / (1.0 - order)
+
+
+def pure_state_value(weights, alpha: float) -> float:
+    """x* of a pure state whose squared Schmidt coefficients are ``weights``, alpha > 1/2.
+
+    x* = 2 H_beta(weights) with beta = 1/(2 alpha - 1): the value at the
+    Schmidt-diagonal sigma = tau with eigenvalues proportional to
+    weights^beta, which a Lagrange computation gives; that it is the minimum
+    is checked numerically (``tests/test_closed_forms.py``).
+    """
+    return 2.0 * renyi_entropy(weights, 1.0 / (2.0 * alpha - 1.0))
+
+
+def maximally_correlated_value(weights, alpha: float) -> float:
+    """x* of the PMF diag(weights), and of the diagonal state with those weights, alpha > 1/2.
+
+    x* = H_{alpha/(2 alpha - 1)}(weights); uniform weights on d points give log d.
+    """
+    return renyi_entropy(weights, alpha / (2.0 * alpha - 1.0))
+
+
+# ---------------------------------------------------------------- qubit oracle grid
+
+
+def bloch_grid(step: float) -> np.ndarray:
+    """(r, theta, phi) product grid of ``prmi.oracle._bloch_axes``, one row per point.
+
+    The radius is the slowest axis and the azimuth the fastest, so each radius
+    holds one contiguous block of (n+1)·n directions in the same order.
+    """
+    rr, tt, pp = np.meshgrid(*_bloch_axes(step), indexing="ij")
+    return np.stack([rr.ravel(), tt.ravel(), pp.ravel()], axis=1)

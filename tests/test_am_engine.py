@@ -41,7 +41,8 @@ from prmi import (
 from prmi import am_engine
 from prmi.am_engine import _AmRun, _sublinear_certificate, step_floor
 from prmi.classical_rmi import _ClassicalRun, classical_linear_constants
-from prmi.operator_core import support_eigh
+from prmi.operator_core import InvalidOperator, support_eigh
+from prmi.petz_divergence import DomainViolation
 from references import (
     contraction_probe,
     partial_min_sigma,
@@ -101,6 +102,39 @@ class TestHalfStepKernel:
         assert np.max(np.abs(tau.entries - partial_min_tau(rho, sigma0, alpha).entries)) <= 1e-12
         run.b_to_a()
         assert np.max(np.abs(run.operators()[0]().entries - partial_min_sigma(rho, tau, alpha).entries)) <= 1e-12
+
+
+class TestHalfStepSupport:
+    """A half-step keeps the rank of its marginal's support, fixed at set-up (``_AmRun._keep``)."""
+
+    @staticmethod
+    def keep(alpha, eigenvalues):
+        rho = random_state(2, 2, np.random.default_rng(5))
+        run = _AmRun(rho, alpha, DEFAULT_CUT, _AmRun.initial(rho, AmConfig(alpha=alpha)))
+        assert run.rank_a == run.rank_b == 2
+        u = np.linalg.qr(np.arange(1.0, 5.0).reshape(2, 2))[0]
+        return run._keep(u @ np.diag(eigenvalues) @ u.T, 2)
+
+    @pytest.mark.parametrize("alpha", [0.75, 1.5])
+    def test_small_positive_eigenvalue_is_kept(self, alpha):
+        # below the run's relative cutoff (1e-12), which the half-step does not apply
+        vals, vecs = self.keep(alpha, [1.0, 1e-14])
+        assert vals.shape == (2,) and vecs.shape == (2, 2)
+        assert vals[0] == pytest.approx(1e-14, abs=1e-15)
+
+    def test_nonpositive_eigenvalue_leaves_the_domain_above_order_one(self):
+        with pytest.raises(DomainViolation):
+            self.keep(1.5, [1.0, -1e-12])
+
+    def test_nonpositive_eigenvalue_is_dropped_below_order_one(self):
+        vals, vecs = self.keep(0.75, [1.0, -1e-12])
+        assert vals == pytest.approx([1.0], abs=1e-12)
+        assert vecs.shape == (2, 1)
+
+    @pytest.mark.parametrize("alpha", [0.75, 1.5])
+    def test_clearly_negative_eigenvalue_is_invalid(self, alpha):
+        with pytest.raises(InvalidOperator):
+            self.keep(alpha, [1.0, -1e-6])
 
 
 def _count_decompositions(monkeypatch, by_name: bool = False) -> Counter:
@@ -249,13 +283,15 @@ class TestSetupCacheScope:
         algorithm1(first, AmConfig(alpha=1.5))
         second = BipartiteState.from_matrix(entries, 2, 3)
         # Only the validation spectrum is computed before a solve asks for more.
-        assert not {"marginal_spectrum", "_marginal_a", "_marginal_b"} & set(vars(second))
+        cached = {"marginal_spectrum", "_marginal_b_spectrum", "_marginal_a", "_marginal_b"}
+        assert not cached & set(vars(second))
         algorithm1(second, AmConfig(alpha=1.5))
         pairs = [
             (first.spectrum[0], second.spectrum[0]),
             (first.spectrum[1], second.spectrum[1]),
             (first.marginal_spectrum[0], second.marginal_spectrum[0]),
             (first.marginal_spectrum[1], second.marginal_spectrum[1]),
+            (first._marginal_b_spectrum, second._marginal_b_spectrum),
             (first.marginal_a().entries, second.marginal_a().entries),
             (first.marginal_b().entries, second.marginal_b().entries),
         ]
@@ -285,7 +321,7 @@ class TestSetupCacheScope:
     def test_cached_arrays_read_only(self, rng):
         state = random_state(2, 3, rng)
         algorithm1(state, AmConfig(alpha=1.5))
-        arrays = [*state.spectrum, *state.marginal_spectrum]
+        arrays = [*state.spectrum, *state.marginal_spectrum, state._marginal_b_spectrum]
         arrays += [state.marginal_a().entries, state.marginal_b().entries]
         for arr in arrays:
             assert not arr.flags.writeable
@@ -499,7 +535,7 @@ class TestSolvePathCost:
 
     def test_algorithm1_decompositions(self, rng, monkeypatch):
         rho = random_state(3, 2, rng)
-        rho.marginal_spectrum  # cached on the state, outside every solve
+        rho.marginal_spectrum, rho._marginal_b_spectrum  # cached on the state, outside every solve
         calls = _count_decompositions(monkeypatch, by_name=True)
         trace = algorithm1(rho, AmConfig(alpha=2.0, eps0=1e-10))
         n = trace.iterations
@@ -509,7 +545,7 @@ class TestSolvePathCost:
 
     def test_algorithm2_decompositions(self, rng, monkeypatch):
         rho = random_state(2, 3, rng)
-        rho.marginal_spectrum
+        rho.marginal_spectrum, rho._marginal_b_spectrum
         calls = _count_decompositions(monkeypatch, by_name=True)
         trace = algorithm2(rho, AmConfig(alpha=0.75, eps0=1e-6))
         n = trace.iterations

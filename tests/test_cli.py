@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import maximally_correlated, random_product_state, random_state
-from prmi import AmConfig, HermitianOperator, algorithm_classical, am_engine, classical_rmi
+from prmi import (
+    AmConfig,
+    BipartiteState,
+    HermitianOperator,
+    algorithm_classical,
+    am_engine,
+    classical_rmi,
+)
 from prmi.cli import (
     EXIT_INVALID,
     EXIT_IO,
@@ -192,6 +199,17 @@ class TestMain:
         assert code == EXIT_OK
         assert (tmp_path / "sweep-alpha-0.75.json").exists()
         assert (tmp_path / "sweep-alpha-1.5.json").exists()
+
+    def test_product_with_a_small_marginal_weight_certifies_zero(self, tmp_path, capsys):
+        # ROADMAP item 2: rho_A's 1e-7 direction sits below the relative cutoff of the
+        # half-step matrix at alpha 2 (1e-14); the iterate must keep it.
+        path = tmp_path / "product.json"
+        s = 1e-7
+        product = np.kron(np.diag([1 - s, s]), np.diag([0.6, 0.4]))
+        save_state(BipartiteState.from_matrix(product, 2, 2), path)
+        argv = [str(path), "--alpha", "2", "--eps", "1e-8", "--trace-out", str(tmp_path / "t.json")]
+        assert main(argv) == EXIT_OK
+        assert abs(float(capsys.readouterr().out.split("final_x=")[1].split()[0])) <= 1e-8
 
     def test_max_iter_exit_three(self, tmp_path, rng):
         path = tmp_path / "state.json"

@@ -19,8 +19,9 @@ from prmi import (
     d_alpha_classical,
     random_density,
 )
-from prmi.oracle import _best_directions, _bloch_grid, _simplex_counts, simplex_grid
+from prmi.oracle import _best_directions, _simplex_counts, simplex_grid
 from prmi import _scan
+from references import bloch_grid
 
 
 class TestSimplexGrid:
@@ -255,7 +256,7 @@ def _brute_force_qubit_min(rho, alpha, step):
     wa = np.where(w > 1e-12 * w[-1], w, 0.0) ** alpha
     ra = (v * wa) @ v.conj().T
     g = np.array([[np.trace(ra @ np.kron(pk, pl)).real for pl in _PAULIS] for pk in _PAULIS])
-    lam, vec = np.linalg.eigh(_bloch_state(_bloch_grid(step)))
+    lam, vec = np.linalg.eigh(_bloch_state(bloch_grid(step)))
     powers = (vec * lam[:, None, :] ** (1.0 - alpha)) @ np.swapaxes(vec.conj(), -1, -2)
     u = np.einsum("nab,kba->nk", powers, _PAULIS).real / 2.0
     c = u @ g.T
@@ -273,7 +274,7 @@ class TestBestDirections:
             return np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
 
         n = round(1.0 / step)
-        theta, phi = _bloch_grid(step)[: (n + 1) * n, 1:].T  # the directions of one radius
+        theta, phi = bloch_grid(step)[: (n + 1) * n, 1:].T  # the directions of one radius
         gaps = (phi[:n] + np.append(phi[1:n], 2 * np.pi)) / 2
         polar = np.concatenate([theta[::n], (theta[:-n:n] + theta[n::n]) / 2])
         # v on and between the grid angles, at phi_v = ±π, zero, ±z and in general position
