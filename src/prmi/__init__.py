@@ -56,6 +56,6 @@ from .operator_core import (
     support_relation,
 )
 from .oracle import OracleResult, TooLarge, grid_min_classical, grid_min_quantum_qubit, kl_reference
-from .petz_divergence import DomainViolation, UnsupportedOrder, d_alpha, q_alpha
+from .petz_divergence import DomainViolation, UnsupportedOrder, d_alpha
 
 __version__ = "0.1.0"

@@ -155,7 +155,7 @@ _NO_CUT = SupportCutoff(0.0)
 
 @dataclass(frozen=True)
 class AmConfig:
-    """Run parameters: order alpha, target accuracy, initializer, caps."""
+    """Run parameters: order, target accuracy, initializer (``sigma0`` iff 'explicit'), caps."""
 
     alpha: float
     eps0: float = 1e-6
@@ -173,6 +173,8 @@ class AmConfig:
             raise ValueError(f"init must be one of {_INIT_CHOICES}, got {self.init!r}")
         if self.init == "explicit" and self.sigma0 is None:
             raise ValueError("init='explicit' requires sigma0")
+        if self.init != "explicit" and self.sigma0 is not None:
+            raise ValueError(f"sigma0 is read only with init='explicit', got init={self.init!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 

@@ -139,19 +139,21 @@ def d_alpha_classical(p, q, alpha: float) -> float:
     qv = _as_array(q).ravel()
     if pv.shape != qv.shape:
         raise ValueError("shape mismatch")
-    if not _domain_holds(pv, qv, alpha):
+    sp, sq = support_mask(pv, DEFAULT_CUT), support_mask(qv, DEFAULT_CUT)
+    if not _domain_holds(sp, sq, alpha):
         return math.inf
-    both = support_mask(pv, DEFAULT_CUT) & support_mask(qv, DEFAULT_CUT)
+    both = sp & sq
     s = float(np.sum(pv[both] ** alpha * qv[both] ** (1.0 - alpha)))
     if s <= 0:
         return math.inf
     return math.log(s) / (alpha - 1.0)
 
 
-def _domain_holds(p: np.ndarray, q: np.ndarray, alpha: float) -> bool:
-    """Finiteness domain of D_alpha(p||q): supports meet, and supp p inside supp q for alpha > 1."""
-    sp = support_mask(p, DEFAULT_CUT)
-    sq = support_mask(q, DEFAULT_CUT)
+def _domain_holds(sp: np.ndarray, sq: np.ndarray, alpha: float) -> bool:
+    """Finiteness domain of D_alpha(p||q) from the support masks of p and q.
+
+    The supports meet, and supp p lies inside supp q for alpha > 1.
+    """
     if alpha > 1 and np.any(sp & ~sq):
         return False
     return bool(np.any(sp & sq))
@@ -159,7 +161,8 @@ def _domain_holds(p: np.ndarray, q: np.ndarray, alpha: float) -> bool:
 
 def _map_once(P: np.ndarray, q: np.ndarray, alpha: float) -> Pmf:
     """The half-step from q on the rows of P, inside the domain of D_alpha(p_x||q)."""
-    if not _domain_holds(P.sum(axis=1), q, alpha):
+    masks = support_mask(P.sum(axis=1), DEFAULT_CUT), support_mask(q, DEFAULT_CUT)
+    if not _domain_holds(*masks, alpha):
         why = "has points outside" if alpha > 1 else "is disjoint from"
         raise DomainViolation(f"at alpha={alpha:g} the marginal support {why} the PMF support")
     _check_alpha(alpha)  # the quantum maps' orders; the stepper divides by alpha - 1

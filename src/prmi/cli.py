@@ -107,16 +107,23 @@ def _dimension(data: dict, key: str) -> int:
     return value
 
 
-def load_state(path: str | Path) -> BipartiteState:
-    """Read and validate a bipartite state file."""
+def _read_matrix_file(
+    path: str | Path, kind: str, dims: tuple[str, ...] = ()
+) -> tuple[list[int], HermitianOperator]:
+    """The integer ``dims`` of a JSON ``kind`` file, then its matrix as an operator."""
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read state file {path}: {exc}")
-    if not isinstance(data, dict) or not {"d_a", "d_b", "matrix"} <= set(data):
-        raise ParseError("state file must contain d_a, d_b and matrix")
-    d_a, d_b = _dimension(data, "d_a"), _dimension(data, "d_b")
-    op = _operator(_matrix_from_json(data["matrix"]))
+        raise ParseError(f"cannot read {kind} file {path}: {exc}")
+    if not isinstance(data, dict) or not {*dims, "matrix"} <= set(data):
+        needed = f"{', '.join(dims)} and matrix" if dims else "a matrix"
+        raise ParseError(f"{kind} file must contain {needed}")
+    return [_dimension(data, key) for key in dims], _operator(_matrix_from_json(data["matrix"]))
+
+
+def load_state(path: str | Path) -> BipartiteState:
+    """Read and validate a bipartite state file."""
+    (d_a, d_b), op = _read_matrix_file(path, "state", ("d_a", "d_b"))
     try:
         return BipartiteState.from_operator(op, d_a, d_b)
     except DimMismatch as exc:
@@ -141,13 +148,7 @@ def save_state(state: BipartiteState, path: str | Path) -> None:
 
 def load_operator(path: str | Path) -> HermitianOperator:
     """Read a Hermitian operator (initializer) from the state JSON schema."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read operator file {path}: {exc}")
-    if not isinstance(data, dict) or "matrix" not in data:
-        raise ParseError("operator file must contain a matrix")
-    return _operator(_matrix_from_json(data["matrix"]))
+    return _read_matrix_file(path, "operator")[1]
 
 
 def _pmf_invalid(exc: ValueError) -> ValidationError:

@@ -11,7 +11,8 @@ which also serves eigenpairs a caller already holds).
 Every support relation is read off those eigenpairs by one kernel,
 ``_overlap`` (the factor B of X's support part compressed to supp Y, C = B
 B^dag), and the trace of C, ``_inside(B)``, against tr X: X << Y by
-``_dominated``, X ⊥ Y by ``_orthogonal``.
+``_dominated``, X ⊥ Y by ``_orthogonal``.  The same factor carries the
+Petz trace term (``petz_divergence.d_alpha``).
 """
 
 from __future__ import annotations
@@ -109,9 +110,6 @@ class HermitianOperator:
 
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
-
-    def __matmul__(self, other: "HermitianOperator") -> np.ndarray:
-        return self.entries @ other.entries
 
 
 class SupportRelation(Enum):
@@ -367,7 +365,7 @@ class BipartiteState:
 
     @cached_property
     def _marginal_b_spectrum(self) -> np.ndarray:
-        """Read-only ascending eigenvalues of the B marginal, for its support rank."""
+        """Read-only ascending eigenvalues of the B marginal, for its support rank and entropy."""
         w = np.linalg.eigvalsh(self.marginal_b().entries)
         w.flags.writeable = False
         return w

@@ -34,6 +34,7 @@ from .operator_core import (
     DEFAULT_CUT,
     BipartiteState,
     SupportCutoff,
+    support_mask,
 )
 from .petz_divergence import _check_alpha, _rho_alpha_tensor
 
@@ -436,9 +437,9 @@ def grid_min_quantum_qubit(
     )
 
 
-def _entropy(op_entries: np.ndarray) -> float:
-    w = np.linalg.eigvalsh(op_entries)
-    w = w[w > 1e-15]
+def _entropy(w: np.ndarray) -> float:
+    """Von Neumann entropy of an ascending spectrum, on its support (``support_mask``)."""
+    w = w[support_mask(w, DEFAULT_CUT, top=float(w[-1]))]
     return float(-np.sum(w * np.log(w)))
 
 
@@ -447,8 +448,10 @@ def kl_reference(rho_ab: BipartiteState) -> float:
 
     Continuity reference for orders near one; computed as the entropy
     combination H(A) + H(B) - H(AB), which handles rank deficiency cleanly.
+    The three spectra are the state's cached ones, each cut at the support
+    rule, so a state whose caches are warm is not decomposed again.
     """
-    ha = _entropy(rho_ab.marginal_a().entries)
-    hb = _entropy(rho_ab.marginal_b().entries)
-    hab = _entropy(rho_ab.op.entries)
+    ha = _entropy(rho_ab.marginal_spectrum[0])
+    hb = _entropy(rho_ab._marginal_b_spectrum)
+    hab = _entropy(rho_ab.spectrum[0])
     return ha + hb - hab

@@ -1,11 +1,11 @@
-"""Petz Renyi divergence, its trace functional, its order domain, and rho^alpha.
+"""Petz Renyi divergence, its order domain, and rho^alpha.
 
 The divergence of order alpha is ``log(tr[rho^a sigma^(1-a)]) / (a - 1)`` on
 its domain and +inf otherwise; ``_check_alpha`` is the order domain of every
 entry point.  For a bipartite state and a fixed marginal argument, minimizing
 over the other product factor has a closed form, which the engine's gemv
-half-steps apply to ``_rho_alpha_tensor``; the einsum form of those
-minimizers, the tests' reference for the half-steps, is in
+half-steps apply to ``_rho_alpha_tensor``.  The tests' references, the power
+form ``q_alpha`` of the trace term and the einsum minimizers, are in
 ``tests/references.py``.
 """
 
@@ -20,11 +20,12 @@ from .operator_core import (
     BipartiteState,
     HermitianOperator,
     SupportCutoff,
-    SupportRelation,
+    _dominated,
+    _inside,
+    _orthogonal,
+    _overlap_pair,
     _power,
-    power_on_support,
     support_mask,
-    support_relation,
 )
 
 # +inf encodes a divergence outside its finiteness domain.
@@ -51,45 +52,24 @@ def _check_alpha(alpha: float) -> None:
         raise UnsupportedOrder("alpha = 1 is not supported; see oracle.kl_reference")
 
 
-def q_alpha(
-    rho: HermitianOperator,
-    sigma: HermitianOperator,
-    alpha: float,
-    cut: SupportCutoff = DEFAULT_CUT,
-) -> float:
-    """Trace functional tr[rho^alpha sigma^(1-alpha)], powers on supports; alpha = 1 is allowed."""
-    if not 0 < alpha < math.inf:
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    ra = power_on_support(rho, alpha, cut)
-    sb = power_on_support(sigma, 1.0 - alpha, cut)
-    val = float(np.trace(ra.entries @ sb.entries).real)
-    return max(val, 0.0)
-
-
-def domain_holds(
-    rho: HermitianOperator,
-    sigma: HermitianOperator,
-    alpha: float,
-    cut: SupportCutoff = DEFAULT_CUT,
-) -> bool:
-    """Finiteness domain: (alpha < 1 and rho not orthogonal to sigma) or rho << sigma."""
-    rel = support_relation(rho, sigma, cut)
-    if rel in (SupportRelation.DOMINATED, SupportRelation.EQUAL_SUPPORT):
-        return True
-    return alpha < 1 and rel is not SupportRelation.ORTHOGONAL
-
-
 def d_alpha(
     rho: HermitianOperator,
     sigma: HermitianOperator,
     alpha: float,
     cut: SupportCutoff = DEFAULT_CUT,
 ) -> DivergenceValue:
-    """Petz divergence of order alpha; +inf outside the domain."""
+    """Petz divergence of order alpha; +inf outside the domain.
+
+    Domain and trace term come from one ``_overlap_pair`` (two ``eigh``): rho
+    not orthogonal to sigma, and rho << sigma above order one; with
+    |B_ji|^2 = wx_i |<y_j|x_i>|^2, tr[rho^a sigma^(1-a)] = wy^(1-a) |B|^2 wx^(a-1).
+    """
     _check_alpha(alpha)
-    if not domain_holds(rho, sigma, alpha, cut):
+    wx, wy, overlap = _overlap_pair(rho, sigma, cut)
+    mass, inside = float(wx.sum()), _inside(overlap)
+    if _orthogonal(inside, mass, cut) or (alpha > 1 and not _dominated(inside, mass, cut)):
         return math.inf
-    q = q_alpha(rho, sigma, alpha, cut)
+    q = float(wy ** (1.0 - alpha) @ np.abs(overlap) ** 2 @ wx ** (alpha - 1.0))
     if q <= UNDERFLOW_Q:
         return math.inf
     return math.log(q) / (alpha - 1.0)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -47,6 +48,19 @@ def uniform_state(d_a: int, d_b: int) -> BipartiteState:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+def count_decompositions(monkeypatch, by_name: bool = False) -> Counter:
+    """Count ``np.linalg.eigh``/``eigvalsh`` calls by matrix shape, or by function name."""
+    calls = Counter()
+    for name in ("eigh", "eigvalsh"):
+
+        def counted(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls[_name if by_name else np.shape(a)] += 1
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
 
 
 def a_priori_eps(alpha: float, consts, n: int) -> float:

@@ -2,6 +2,10 @@
 
 No solve, CLI run or oracle calls these, so they live with the tests:
 
+- ``q_alpha``: the Petz trace term tr[rho^alpha sigma^(1-alpha)] from two
+  operator powers on the supports, and ``petz_domain``, the finiteness
+  domain from ``support_relation``: the reference for ``prmi.d_alpha``'s
+  overlap-factor form.
 - ``partial_min_tau``/``partial_min_sigma``: the closed-form partial
   minimizers as einsum contractions of rho^alpha, the reference for the
   engine's gemv half-steps; ``product_operator`` and ``sibson_residual``
@@ -38,6 +42,7 @@ from prmi.operator_core import (
     BipartiteState,
     HermitianOperator,
     SupportCutoff,
+    SupportRelation,
     ZeroOperator,
     _dominated,
     _inside,
@@ -45,15 +50,41 @@ from prmi.operator_core import (
     power_on_support,
     random_density,
     support_pairs,
+    support_relation,
 )
 from prmi.oracle import _bloch_axes
-from prmi.petz_divergence import (
-    DomainViolation,
-    _check_alpha,
-    _rho_alpha_tensor,
-    d_alpha,
-    domain_holds,
-)
+from prmi.petz_divergence import DomainViolation, _check_alpha, _rho_alpha_tensor, d_alpha
+
+# ---------------------------------------------------------------- Petz trace term
+
+
+def q_alpha(
+    rho: HermitianOperator,
+    sigma: HermitianOperator,
+    alpha: float,
+    cut: SupportCutoff = DEFAULT_CUT,
+) -> float:
+    """Trace functional tr[rho^alpha sigma^(1-alpha)], powers on supports; alpha = 1 is allowed."""
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    ra = power_on_support(rho, alpha, cut)
+    sb = power_on_support(sigma, 1.0 - alpha, cut)
+    val = float(np.trace(ra.entries @ sb.entries).real)
+    return max(val, 0.0)
+
+
+def petz_domain(
+    rho: HermitianOperator, sigma: HermitianOperator, alpha: float, cut: SupportCutoff = DEFAULT_CUT
+) -> bool:
+    """Finiteness domain of D_alpha(rho||sigma) from ``support_relation``.
+
+    Below order one the supports must not be orthogonal; above it rho << sigma.
+    """
+    relation = support_relation(rho, sigma, cut)
+    if alpha < 1:
+        return relation is not SupportRelation.ORTHOGONAL
+    return relation in (SupportRelation.DOMINATED, SupportRelation.EQUAL_SUPPORT)
+
 
 # ---------------------------------------------------------------- partial minimizers
 
@@ -71,7 +102,7 @@ def _contract_b(rho_alpha_4d: np.ndarray, t_b: np.ndarray) -> np.ndarray:
 def _check_partial_domain(
     marginal: HermitianOperator, sigma: HermitianOperator, alpha: float, cut: SupportCutoff
 ) -> None:
-    if not domain_holds(marginal, sigma, alpha, cut):
+    if not petz_domain(marginal, sigma, alpha, cut):
         why = "is not dominated by" if alpha > 1 else "has a support orthogonal to"
         raise DomainViolation(f"at alpha={alpha:g} the state marginal {why} the product factor")
 

@@ -40,13 +40,13 @@ from prmi import (
     schatten_norm,
     spectrum_floors,
     sublinear_constants,
-    q_alpha,
 )
 from references import (
     contraction_probe,
     d_h_vec,
     m_ratio,
     m_ratio_vec,
+    q_alpha,
     sibson_residual,
     tensor_additivity_residual,
 )

@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     a_priori_eps,
     a_priori_iterations,
+    count_decompositions,
     maximally_correlated,
     near_singular,
     random_pmf,
@@ -137,22 +138,9 @@ class TestHalfStepSupport:
             self.keep(alpha, [1.0, -1e-6])
 
 
-def _count_decompositions(monkeypatch, by_name: bool = False) -> Counter:
-    """Count ``np.linalg.eigh``/``eigvalsh`` calls by matrix shape, or by function name."""
-    calls = Counter()
-    for name in ("eigh", "eigvalsh"):
-
-        def counted(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
-            calls[_name if by_name else np.shape(a)] += 1
-            return _real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
-
-
 class TestStateSpectrumCache:
     def test_state_decomposed_once_across_orders(self, rng, monkeypatch):
-        calls = _count_decompositions(monkeypatch)
+        calls = count_decompositions(monkeypatch)
         rho = BipartiteState.from_matrix(random_density(9, rng).entries, 3, 3)
         algorithm2(rho, AmConfig(alpha=0.75, eps0=1e-4))
         algorithm1(rho, AmConfig(alpha=1.5))
@@ -161,7 +149,7 @@ class TestStateSpectrumCache:
         assert calls[(3, 3)] > 0
 
     def test_classical_run_below_order_one_never_decomposes(self, rng, monkeypatch):
-        calls = _count_decompositions(monkeypatch)
+        calls = count_decompositions(monkeypatch)
         trace = algorithm_classical(random_pmf((3, 3), rng), AmConfig(alpha=0.75, eps0=1e-4))
         assert trace.terminated_by == "certificate"
         assert sum(calls.values()) == 0
@@ -246,7 +234,8 @@ class TestSetupOnce:
                 (DEFAULT_CUT, SupportCutoff(1e-3)),
                 [(1.5, 1e-8, algorithm1), (0.75, 1e-4, algorithm2), (3.0, 1e-6, run_uncertified)],
             ):
-                config = AmConfig(alpha=alpha, eps0=eps0, init=init, sigma0=sigma0, cut=cut)
+                start = sigma0 if init == "explicit" else None
+                config = AmConfig(alpha=alpha, eps0=eps0, init=init, sigma0=start, cut=cut)
                 args = (25,) if solve is run_uncertified else ()
                 now = solve(rho, config, *args)
                 with monkeypatch.context() as m:
@@ -519,6 +508,28 @@ class TestCertificateRule:
             self.SOLVES[solve](random_state(2, 2, rng), random_pmf((2, 3), rng), config)
 
 
+class TestConfigInitializer:
+    """``AmConfig`` reads ``sigma0`` only with ``init='explicit'``, and rejects it elsewhere."""
+
+    SKEWED = HermitianOperator.diagonal([0.999, 0.001])
+
+    @pytest.mark.parametrize("init", ["marginal", "uniform"])
+    def test_sigma0_without_explicit_init_rejected(self, init):
+        with pytest.raises(ValueError, match="sigma0 is read only with init='explicit'"):
+            AmConfig(alpha=1.5, init=init, sigma0=self.SKEWED)
+
+    def test_explicit_init_requires_sigma0(self):
+        with pytest.raises(ValueError, match="init='explicit' requires sigma0"):
+            AmConfig(alpha=1.5, init="explicit")
+
+    def test_explicit_sigma0_is_the_start(self):
+        rho = random_state(2, 2, np.random.default_rng(0))
+        default = run_uncertified(rho, AmConfig(alpha=1.5), 1)
+        skewed = run_uncertified(rho, AmConfig(alpha=1.5, init="explicit", sigma0=self.SKEWED), 1)
+        assert default.x_values[0] == pytest.approx(0.2561, abs=1e-4)
+        assert skewed.x_values[0] == pytest.approx(5.7187, abs=1e-4)
+
+
 def _spy_on_drive(monkeypatch, record):
     """Pass every stepper that reaches ``_drive`` to ``record`` first."""
     real = am_engine._drive
@@ -536,7 +547,7 @@ class TestSolvePathCost:
     def test_algorithm1_decompositions(self, rng, monkeypatch):
         rho = random_state(3, 2, rng)
         rho.marginal_spectrum, rho._marginal_b_spectrum  # cached on the state, outside every solve
-        calls = _count_decompositions(monkeypatch, by_name=True)
+        calls = count_decompositions(monkeypatch, by_name=True)
         trace = algorithm1(rho, AmConfig(alpha=2.0, eps0=1e-10))
         n = trace.iterations
         assert trace.terminated_by == "certificate" and n >= 3
@@ -546,7 +557,7 @@ class TestSolvePathCost:
     def test_algorithm2_decompositions(self, rng, monkeypatch):
         rho = random_state(2, 3, rng)
         rho.marginal_spectrum, rho._marginal_b_spectrum
-        calls = _count_decompositions(monkeypatch, by_name=True)
+        calls = count_decompositions(monkeypatch, by_name=True)
         trace = algorithm2(rho, AmConfig(alpha=0.75, eps0=1e-6))
         n = trace.iterations
         assert trace.terminated_by == "certificate" and n >= 3

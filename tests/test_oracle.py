@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import maximally_correlated, random_pmf, random_product_state, random_state, uniform_state
+from conftest import (
+    count_decompositions,
+    maximally_correlated,
+    random_pmf,
+    random_product_state,
+    random_state,
+    uniform_state,
+)
 from prmi import (
     AmConfig,
     BipartiteState,
@@ -380,6 +387,20 @@ class TestKlReference:
 
     def test_maximally_mixed(self):
         assert kl_reference(uniform_state(2, 2)) == pytest.approx(0.0, abs=1e-12)
+
+    def test_pure_state_is_twice_the_schmidt_entropy(self):
+        psi = np.zeros(6)
+        psi[0], psi[4] = math.sqrt(0.7), math.sqrt(0.3)
+        rho = BipartiteState.from_matrix(np.outer(psi, psi), 2, 3)
+        entropy = -(0.7 * math.log(0.7) + 0.3 * math.log(0.3))
+        assert kl_reference(rho) == pytest.approx(2.0 * entropy, abs=1e-12)
+
+    def test_warm_state_is_not_decomposed(self, rng, monkeypatch):
+        rho = random_state(2, 3, rng)
+        rho.spectrum, rho.marginal_spectrum, rho._marginal_b_spectrum
+        calls = count_decompositions(monkeypatch, by_name=True)
+        kl_reference(rho)
+        assert sum(calls.values()) == 0
 
     def test_alpha_near_one_continuity(self, rng):
         rho = random_state(2, 2, rng)

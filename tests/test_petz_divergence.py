@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import maximally_correlated, random_product_state, random_state
+from conftest import count_decompositions, maximally_correlated, random_product_state, random_state
 from prmi import (
     DEFAULT_CUT,
     AmConfig,
@@ -13,14 +13,20 @@ from prmi import (
     d_alpha_classical,
     grid_min_classical,
     grid_min_quantum_qubit,
-    q_alpha,
     random_density,
     schatten_norm,
     spectrum_floors,
 )
 from prmi.am_engine import _AmRun, _restricted_pairs
-from prmi.petz_divergence import DomainViolation
-from references import partial_min_sigma, partial_min_tau, product_operator, sibson_residual
+from prmi.petz_divergence import UNDERFLOW_Q, DomainViolation
+from references import (
+    partial_min_sigma,
+    partial_min_tau,
+    petz_domain,
+    product_operator,
+    q_alpha,
+    sibson_residual,
+)
 
 ALPHAS = [0.6, 0.75, 0.9, 1.5, 2.0]
 
@@ -127,6 +133,113 @@ class TestDAlpha:
             diff = HermitianOperator.from_entries(_power(rho, alpha) - _power(sigma, alpha))
             lhs = (1.0 - alpha) / (4.0 * alpha) * schatten_norm(diff, 1.0 / alpha) ** 2
             assert lhs <= 1.0 - q_alpha(rho, sigma, alpha) + 1e-9
+
+
+GRID_ALPHAS = [0.3, 0.6, 0.75, 0.9, 1.25, 1.5, 2.0, 3.0, 6.0]
+
+
+def _power_form(rho, sigma, alpha):
+    """The divergence from the references: ``petz_domain`` and log(``q_alpha``)/(alpha - 1)."""
+    if not petz_domain(rho, sigma, alpha):
+        return math.inf
+    q = q_alpha(rho, sigma, alpha)
+    return math.inf if q <= UNDERFLOW_Q else math.log(q) / (alpha - 1.0)
+
+
+def _seeded_pairs(rng, per_dim=40):
+    """Pairs at d = 2-6 with ranks 1-d; every third sigma mixes in rho, so rho << sigma."""
+    for d in range(2, 7):
+        for k in range(per_dim):
+            rho = random_density(d, rng, rank=int(rng.integers(1, d + 1)))
+            sigma = random_density(d, rng, rank=int(rng.integers(1, d + 1)))
+            if k % 3 == 0:
+                t = rng.uniform(0.05, 0.95)
+                sigma = HermitianOperator._wrap(t * rho.entries + (1.0 - t) * sigma.entries)
+            yield rho, sigma
+
+
+def _embedded(d, block):
+    """A d x d operator holding ``block`` in its leading corner."""
+    out = np.zeros((d, d), dtype=np.complex128)
+    out[: block.shape[0], : block.shape[0]] = block
+    return HermitianOperator._wrap(out)
+
+
+def _edge_pairs(rng):
+    """Named pairs at the edges of the domain."""
+    rho3 = random_density(3, rng)
+    low = random_density(2, rng).entries
+    return {
+        "zero sigma": (rho3, HermitianOperator._wrap(np.zeros((3, 3)))),
+        "orthogonal": (
+            HermitianOperator.diagonal([0.4, 0.6, 0.0]),
+            HermitianOperator.diagonal([0.0, 0.0, 1.0]),
+        ),
+        "rank 1 in rank 2": (
+            HermitianOperator.diagonal([1.0, 0.0, 0.0]),
+            _embedded(3, low),
+        ),
+        "rank 2 in rank 3": (_embedded(3, low), rho3),
+        "equal rank-deficient supports": (
+            _embedded(4, low),
+            _embedded(4, random_density(2, rng).entries),
+        ),
+        "rank 2 over rank 1": (_embedded(3, low), HermitianOperator.diagonal([1.0, 0.0, 0.0])),
+        "overlapping rank-deficient supports": (
+            _embedded(3, low),
+            HermitianOperator.diagonal([0.0, 0.3, 0.7]),
+        ),
+    }
+
+
+def _agrees(got, want):
+    if math.isinf(want) or math.isinf(got):
+        return got == want
+    return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+class TestOverlapKernel:
+    """``d_alpha`` reads domain and trace term off one support ``eigh`` of each argument."""
+
+    @pytest.mark.parametrize("alpha", [0.75, 1.5])
+    def test_two_eigh_per_call(self, rng, monkeypatch, alpha):
+        pairs = [
+            (random_density(3, rng), random_density(3, rng)),
+            (HermitianOperator.diagonal([0.5, 0.5, 0.0]), HermitianOperator.diagonal([1, 0, 0])),
+        ]
+        for rho, sigma in pairs:
+            calls = count_decompositions(monkeypatch, by_name=True)
+            d_alpha(rho, sigma, alpha)
+            assert calls == {"eigh": 2}
+
+    def test_agrees_with_the_power_form_on_seeded_pairs(self):
+        rng = np.random.default_rng(19)
+        infinite = finite = 0
+        for rho, sigma in _seeded_pairs(rng):
+            for alpha in GRID_ALPHAS:
+                got, want = d_alpha(rho, sigma, alpha), _power_form(rho, sigma, alpha)
+                assert _agrees(got, want), (rho.dim, alpha, got, want)
+                infinite += math.isinf(want)
+                finite += math.isfinite(want)
+        # both branches are exercised: unequal ranks leave the domain above order one
+        assert infinite > 100 and finite > 1000
+
+    @pytest.mark.parametrize("alpha", GRID_ALPHAS)
+    def test_agrees_with_the_power_form_at_the_domain_edges(self, alpha):
+        for name, (rho, sigma) in _edge_pairs(np.random.default_rng(7)).items():
+            got, want = d_alpha(rho, sigma, alpha), _power_form(rho, sigma, alpha)
+            assert _agrees(got, want), (name, got, want)
+
+    def test_domain_edges_take_the_expected_branch(self):
+        pairs = _edge_pairs(np.random.default_rng(7))
+        for name in ("zero sigma", "orthogonal"):
+            assert all(math.isinf(d_alpha(*pairs[name], a)) for a in GRID_ALPHAS), name
+        finite = ("rank 1 in rank 2", "rank 2 in rank 3", "equal rank-deficient supports")
+        for name in finite:
+            assert all(math.isfinite(d_alpha(*pairs[name], a)) for a in GRID_ALPHAS), name
+        for name in ("rank 2 over rank 1", "overlapping rank-deficient supports"):
+            values = [d_alpha(*pairs[name], a) for a in GRID_ALPHAS]
+            assert all(math.isfinite(v) == (a < 1) for a, v in zip(GRID_ALPHAS, values)), name
 
 
 def _power(op, p):
