@@ -97,7 +97,9 @@ certificate's constants.
 Per step.  At desk sizes numpy's per-call overhead, not LAPACK, is most of a
 step, so the steppers keep the number of numpy calls down without changing
 what is decomposed.  A solve takes 2 + 2n ``eigh`` and n ``eigvalsh`` with
-the linear certificate, 3 + 2n ``eigh`` with the sublinear one.  Each
+the linear certificate, 3 + 2n ``eigh`` with the sublinear one, each through
+``operator_core``'s kernel pair ``_eigh``/``_eigvalsh``, which calls the
+LAPACK gufunc without ``np.linalg``'s wrapper and returns the same bits.  Each
 quantum half-step forms its gemv operand as the transposed power
 S^T = conj(V) diag(lam^(1-alpha)) V^T, which is C-contiguous and flattens
 without a copy, and the exponents 1 - alpha and 1/alpha and the factor

@@ -12,7 +12,8 @@ error unless ``--uncertified`` is given, which runs the plain iteration for
 ``--max-iter`` steps instead.
 
 Exit codes: 0 when every run terminated on its certificate, 2 on validation
-or range errors and when an iterate leaves its support above order one
+or range errors, on two orders whose trace paths coincide (checked before
+any solve) and when an iterate leaves its support above order one
 (``DomainViolation``), 3 when an iteration cap was hit without a certificate,
 4 when a trace document could not be written.
 """
@@ -250,6 +251,17 @@ def _support_cutoff() -> SupportCutoff:
 
 def run(args: argparse.Namespace) -> int:
     """Execute each requested alpha of parsed arguments; returns the process exit code."""
+    multiple = len(args.alpha) > 1
+    outs = [_trace_path_for(args.trace_out, alpha, multiple) for alpha in args.alpha]
+    first = {}
+    for alpha, out in zip(args.alpha, outs):
+        if out in first:
+            print(
+                f"error: --alpha {first[out]!r} and --alpha {alpha!r} both write trace {out}",
+                file=sys.stderr,
+            )
+            return EXIT_INVALID
+        first[out] = alpha
     classical = args.mode == "classical"
     init, sigma0 = args.init, None
     try:
@@ -262,9 +274,8 @@ def run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
-    multiple = len(args.alpha) > 1
     all_certified = True
-    for alpha in args.alpha:
+    for alpha, out in zip(args.alpha, outs):
         try:
             config = AmConfig(
                 alpha=alpha,
@@ -286,7 +297,6 @@ def run(args: argparse.Namespace) -> int:
             print(f"error: alpha={alpha:g}: {exc}", file=sys.stderr)
             return EXIT_INVALID
 
-        out = _trace_path_for(args.trace_out, alpha, multiple)
         try:
             out.write_text(json.dumps(_trace_document(trace), indent=1))
         except OSError as exc:

@@ -27,6 +27,7 @@ from .operator_core import (
     HermitianOperator,
     SupportCutoff,
     _dominated,
+    _eigvalsh,
     _inside,
     _overlap_pair,
 )
@@ -38,7 +39,7 @@ ProjectiveDistance = float
 def _whitened_eigvals(factor: np.ndarray, wy: np.ndarray) -> np.ndarray:
     """Ascending spectrum of Y^(-1/2) X Y^(-1/2) on supp Y: that of K K^dag, K = Y^(-1/2) B."""
     k = factor / np.sqrt(wy)[:, None]
-    return np.linalg.eigvalsh(k @ k.conj().T)
+    return _eigvalsh(k @ k.conj().T)
 
 
 def spread_distance(top: float, low: float, rel_tol: float) -> ProjectiveDistance:

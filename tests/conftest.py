@@ -1,10 +1,18 @@
 import math
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from prmi import DEFAULT_CUT, BipartiteState, HermitianOperator, SupportRelation, random_density
+from prmi import (
+    DEFAULT_CUT,
+    BipartiteState,
+    HermitianOperator,
+    SupportRelation,
+    operator_core,
+    random_density,
+)
 
 
 def random_state(d_a: int, d_b: int, rng: np.random.Generator) -> BipartiteState:
@@ -50,16 +58,34 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
 
 
-def count_decompositions(monkeypatch, by_name: bool = False) -> Counter:
-    """Count ``np.linalg.eigh``/``eigvalsh`` calls by matrix shape, or by function name."""
+def by_shape(name: str, mat) -> tuple:
+    """``count_decompositions`` key: the matrix shape."""
+    return np.shape(mat)
+
+
+def by_name(name: str, mat) -> str:
+    """``count_decompositions`` key: ``"eigh"`` or ``"eigvalsh"``."""
+    return name
+
+
+def count_decompositions(monkeypatch, key=by_shape) -> Counter:
+    """Count the eigen kernel's calls, ``operator_core._eigh``/``_eigvalsh``, under ``key(name, matrix)``.
+
+    ``name`` is ``"eigh"`` or ``"eigvalsh"``; the default key is the matrix
+    shape.  Every ``prmi`` module that binds a kernel function is patched, so
+    no decomposition in ``src/`` escapes the count.
+    """
     calls = Counter()
     for name in ("eigh", "eigvalsh"):
+        real = getattr(operator_core, f"_{name}")
 
-        def counted(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
-            calls[_name if by_name else np.shape(a)] += 1
-            return _real(a, *args, **kwargs)
+        def counted(mat, _name=name, _real=real):
+            calls[key(_name, mat)] += 1
+            return _real(mat)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("prmi.") and getattr(module, f"_{name}", None) is real:
+                monkeypatch.setattr(module, f"_{name}", counted)
     return calls
 
 

@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     a_priori_eps,
     a_priori_iterations,
+    by_name,
     count_decompositions,
     maximally_correlated,
     near_singular,
@@ -291,21 +292,16 @@ class TestSetupCacheScope:
     def test_marginal_decomposed_once_per_state(self, rng, monkeypatch):
         entries = random_density(6, rng).entries
         marginal = BipartiteState.from_matrix(entries, 2, 3).marginal_a().entries
-        hits = []
-        real_eigh = np.linalg.eigh
-
-        def eigh(a, *args, **kwargs):
-            hits.append(np.array_equal(a, marginal))
-            return real_eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        hits = count_decompositions(
+            monkeypatch, key=lambda name, mat: name == "eigh" and np.array_equal(mat, marginal)
+        )
         for _ in range(2):
             state = BipartiteState.from_matrix(entries, 2, 3)
             for cut in (DEFAULT_CUT, SupportCutoff(1e-3)):
                 algorithm2(state, AmConfig(alpha=0.75, eps0=1e-4, cut=cut))
                 algorithm1(state, AmConfig(alpha=1.5, cut=cut))
                 run_uncertified(state, AmConfig(alpha=3.0, cut=cut), 3)
-        assert sum(hits) == 2
+        assert hits[True] == 2
 
     def test_cached_arrays_read_only(self, rng):
         state = random_state(2, 3, rng)
@@ -547,7 +543,7 @@ class TestSolvePathCost:
     def test_algorithm1_decompositions(self, rng, monkeypatch):
         rho = random_state(3, 2, rng)
         rho.marginal_spectrum, rho._marginal_b_spectrum  # cached on the state, outside every solve
-        calls = count_decompositions(monkeypatch, by_name=True)
+        calls = count_decompositions(monkeypatch, key=by_name)
         trace = algorithm1(rho, AmConfig(alpha=2.0, eps0=1e-10))
         n = trace.iterations
         assert trace.terminated_by == "certificate" and n >= 3
@@ -557,7 +553,7 @@ class TestSolvePathCost:
     def test_algorithm2_decompositions(self, rng, monkeypatch):
         rho = random_state(2, 3, rng)
         rho.marginal_spectrum, rho._marginal_b_spectrum
-        calls = count_decompositions(monkeypatch, by_name=True)
+        calls = count_decompositions(monkeypatch, key=by_name)
         trace = algorithm2(rho, AmConfig(alpha=0.75, eps0=1e-6))
         n = trace.iterations
         assert trace.terminated_by == "certificate" and n >= 3

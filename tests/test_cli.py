@@ -200,6 +200,23 @@ class TestMain:
         assert (tmp_path / "sweep-alpha-0.75.json").exists()
         assert (tmp_path / "sweep-alpha-1.5.json").exists()
 
+    @pytest.mark.parametrize(
+        "alphas, trace_out",
+        [(("1.5", "1.5000001"), "t.json"), (("0.75", "0.75"), "t.json"), (("2", "2.0"), "t-{alpha}.json")],
+    )
+    def test_colliding_trace_paths_rejected_before_any_solve(
+        self, product_file, tmp_path, monkeypatch, capsys, alphas, trace_out
+    ):
+        # Both orders would write the same {alpha:g} file, the second overwriting the first.
+        monkeypatch.setattr("prmi.cli._solve", lambda *args: pytest.fail("solved"))
+        argv = [str(product_file), "--trace-out", str(tmp_path / trace_out)]
+        for alpha in alphas:
+            argv += ["--alpha", alpha]
+        assert main(argv) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: --alpha {float(alphas[0])!r} and")
+        assert list(tmp_path.glob("t*.json")) == []
+
     def test_product_with_a_small_marginal_weight_certifies_zero(self, tmp_path, capsys):
         # ROADMAP item 2: rho_A's 1e-7 direction sits below the relative cutoff of the
         # half-step matrix at alpha 2 (1e-14); the iterate must keep it.

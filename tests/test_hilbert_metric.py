@@ -1,10 +1,9 @@
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import composed_support_relation
+from conftest import by_name, composed_support_relation, count_decompositions
 from prmi import (
     DEFAULT_CUT,
     DimMismatch,
@@ -126,14 +125,7 @@ class TestSpectralBound:
     def test_two_eigh(self, rng, monkeypatch):
         s = random_density(3, rng)
         t = random_density(3, rng)
-        calls = Counter()
-        for name in ("eigh", "eigvalsh"):
-
-            def counted(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
-                calls[_name] += 1
-                return _real(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
+        calls = count_decompositions(monkeypatch, key=by_name)
         assert math.isfinite(d_h_bound_from_spectra(s, t))
         assert calls == {"eigh": 2}
 
@@ -271,14 +263,7 @@ class TestOneShotDH:
     def test_two_eigh_and_one_eigvalsh(self, rng, monkeypatch):
         x = random_density(3, rng, rank=2)
         y = _same_support(x, rng)
-        calls = Counter()
-        for name in ("eigh", "eigvalsh"):
-
-            def counted(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
-                calls[_name] += 1
-                return _real(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
+        calls = count_decompositions(monkeypatch, key=by_name)
         assert math.isfinite(d_h(x, y))
         assert calls == {"eigh": 2, "eigvalsh": 1}
 

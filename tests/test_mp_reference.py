@@ -13,6 +13,10 @@ input below at alpha 0.6), enough to read a sound certificate at eps0 =
 1e-10 as a false one.  Half-step matrices are powered on the eigenvalues
 above 1e-30 of their largest, which only removes the 40-digit rounding of
 the marginal kernels.
+
+``mp_d_alpha`` is the same kind of reference for ``d_alpha``: the Petz trace
+term at 40 digits from the eigenpairs of both arguments above the same
+1e-12 cutoff.
 """
 
 import functools
@@ -21,7 +25,15 @@ import numpy as np
 import pytest
 
 from conftest import maximally_correlated, near_singular, random_product_state
-from prmi import AmConfig, BipartiteState, algorithm1, algorithm2, random_density
+from prmi import (
+    AmConfig,
+    BipartiteState,
+    HermitianOperator,
+    algorithm1,
+    algorithm2,
+    d_alpha,
+    random_density,
+)
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -120,3 +132,56 @@ def test_certificate_holds_against_the_40_digit_limit(name, alpha):
         trace = solve(rho, AmConfig(alpha=alpha, eps0=eps0))
         assert trace.terminated_by == "certificate", eps0
         assert abs(trace.final_x - limit) <= eps0, eps0
+
+
+def mp_d_alpha(rho: HermitianOperator, sigma: HermitianOperator, alpha: float):
+    """D_alpha(rho || sigma) at 40 digits, for pairs inside the Petz domain.
+
+    log(sum_ij wx_i^a wy_j^(1-a) |<y_j|x_i>|^2)/(a-1) over the eigenpairs of
+    rho and sigma above ``STATE_CUT`` of their largest eigenvalue.
+    """
+    with mpmath.workdps(DIGITS):
+        a = mpmath.mpf(alpha)
+        wx, vx = _mp_eigenpairs(mpmath.matrix(rho.entries.tolist()), STATE_CUT)
+        wy, vy = _mp_eigenpairs(mpmath.matrix(sigma.entries.tolist()), STATE_CUT)
+        q = mpmath.fsum(
+            lam**a * mu ** (1 - a) * abs((y.transpose_conj() * x)[0]) ** 2
+            for lam, x in zip(wx, vx)
+            for mu, y in zip(wy, vy)
+        )
+        return mpmath.log(q) / (a - 1)
+
+
+def _same_support_pair(d, rng):
+    """Two densities of rank d - 1 on one seeded subspace."""
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    v = np.linalg.qr(g)[0][:, : d - 1]
+    return tuple(
+        HermitianOperator._wrap(v @ random_density(d - 1, rng).entries @ v.conj().T)
+        for _ in range(2)
+    )
+
+
+def _d_alpha_pairs():
+    """Seeded pairs inside the domain at every order, d 2-4: both full rank, a rank-deficient
+    rho against a full-rank sigma, and equal rank-deficient supports."""
+    rng = np.random.default_rng(2025)
+    for d in (2, 3, 4):
+        for _ in range(3):
+            yield f"full d={d}", random_density(d, rng), random_density(d, rng)
+            yield f"rho rank {d - 1}", random_density(d, rng, rank=d - 1), random_density(d, rng)
+            yield f"equal supports d={d}", *_same_support_pair(d, rng)
+
+
+# The power form in tests/references.py is up to 1.2e-11 off at alpha >= 3,
+# from the cancellation in V diag(w^(1-a)) V^dag; d_alpha reads the overlap
+# factor instead and stays within 1e-13 of the 40-digit value on these pairs.
+@pytest.mark.parametrize("alpha", [0.6, 1.5, 3.0, 6.0])
+def test_d_alpha_against_40_digits(alpha):
+    checked = 0
+    for label, rho, sigma in _d_alpha_pairs():
+        want = float(mp_d_alpha(rho, sigma, alpha))
+        got = d_alpha(rho, sigma, alpha)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (label, got, want)
+        checked += 1
+    assert checked == 27

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import composed_ratios, composed_support_relation
+from conftest import by_name, composed_ratios, composed_support_relation, count_decompositions
 from prmi import (
     DEFAULT_CUT,
     BipartiteState,
@@ -22,7 +22,7 @@ from prmi import (
     schatten_norm,
     support_relation,
 )
-from prmi.operator_core import support_eigh, support_pairs
+from prmi.operator_core import _eigh, _eigvalsh, support_eigh, support_pairs
 
 
 def rand_hermitian(dim, rng):
@@ -177,6 +177,50 @@ class TestMinNonzeroEig:
             min_nonzero_eig(HermitianOperator.diagonal([0.0, 0.0]))
 
 
+def _kernel_inputs(rng):
+    """Seeded Hermitian matrices, d 1-16, float64 and complex128: indefinite, PSD of rank
+    d // 2, diagonal, zero, and the transposed (Fortran-ordered) view of the indefinite one."""
+    for d in range(1, 17):
+        for dtype in (np.float64, np.complex128):
+            g = rng.standard_normal((d, d)).astype(dtype)
+            if dtype is np.complex128:
+                g += 1j * rng.standard_normal((d, d))
+            indefinite = g + g.conj().T
+            low = g[:, : d // 2]
+            yield indefinite
+            yield indefinite.T
+            yield low @ low.conj().T
+            yield np.diag(rng.standard_normal(d)).astype(dtype)
+            yield np.zeros((d, d), dtype)
+
+
+class TestEigenKernel:
+    """``_eigh``/``_eigvalsh`` are ``np.linalg.eigh``/``eigvalsh`` bit for bit, with its failure check."""
+
+    def test_bit_identical_to_numpy(self, rng):
+        count = 0
+        for mat in _kernel_inputs(rng):
+            w, v = _eigh(mat)
+            want_w, want_v = np.linalg.eigh(mat)
+            vals = _eigvalsh(mat)
+            want_vals = np.linalg.eigvalsh(mat)
+            for got, want in [(w, want_w), (v, want_v), (vals, want_vals)]:
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            count += 1
+        assert count == 16 * 2 * 5
+
+    # Without np.linalg's errstate, numpy may warn of the invalid value LAPACK flags first.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_nan_matrix_raises(self, dtype):
+        mat = np.full((3, 3), np.nan, dtype)
+        with pytest.raises(np.linalg.LinAlgError):
+            _eigh(mat)
+        with pytest.raises(np.linalg.LinAlgError):
+            _eigvalsh(mat)
+
+
 class TestSupportPairs:
     def test_full_support_returns_the_given_arrays(self, rng):
         w, v = np.linalg.eigh(random_density(3, rng).entries)
@@ -258,14 +302,7 @@ class TestSupportRelation:
             assert composed_support_relation(a, b) is SupportRelation.EQUAL_SUPPORT
 
     def test_two_eigh_and_no_eigvalsh(self, rng, monkeypatch):
-        calls = Counter()
-        for name in ("eigh", "eigvalsh"):
-
-            def counted(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
-                calls[_name] += 1
-                return _real(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
+        calls = count_decompositions(monkeypatch, key=by_name)
         x, y = random_density(3, rng, rank=2), random_density(3, rng)
         assert support_relation(x, y) is SupportRelation.DOMINATED
         assert calls == {"eigh": 2}

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    by_name,
     count_decompositions,
     maximally_correlated,
     random_pmf,
@@ -398,7 +399,7 @@ class TestKlReference:
     def test_warm_state_is_not_decomposed(self, rng, monkeypatch):
         rho = random_state(2, 3, rng)
         rho.spectrum, rho.marginal_spectrum, rho._marginal_b_spectrum
-        calls = count_decompositions(monkeypatch, by_name=True)
+        calls = count_decompositions(monkeypatch, key=by_name)
         kl_reference(rho)
         assert sum(calls.values()) == 0
 

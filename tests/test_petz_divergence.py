@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import count_decompositions, maximally_correlated, random_product_state, random_state
+from conftest import by_name, count_decompositions, maximally_correlated, random_product_state, random_state
 from prmi import (
     DEFAULT_CUT,
     AmConfig,
@@ -208,7 +208,7 @@ class TestOverlapKernel:
             (HermitianOperator.diagonal([0.5, 0.5, 0.0]), HermitianOperator.diagonal([1, 0, 0])),
         ]
         for rho, sigma in pairs:
-            calls = count_decompositions(monkeypatch, by_name=True)
+            calls = count_decompositions(monkeypatch, key=by_name)
             d_alpha(rho, sigma, alpha)
             assert calls == {"eigh": 2}
 

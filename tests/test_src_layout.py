@@ -7,6 +7,9 @@ an attribute, an imported name, or a word in a string that is not a
 docstring (``bench/layers.py`` lists the functions it traces as strings; the
 alpha = 1 error names ``oracle.kl_reference``).  Helpers that only tests use
 belong in ``tests/references.py``.
+
+Every eigendecomposition in ``src/prmi`` goes through the kernel pair
+``operator_core._eigh``/``_eigvalsh``, the one place that calls LAPACK.
 """
 
 import ast
@@ -78,3 +81,39 @@ def test_every_public_name_in_src_has_a_caller():
     unreferenced = _unreferenced()
     assert unreferenced - set(LIBRARY) == set(), "test-only code belongs in tests/references.py"
     assert set(LIBRARY) - unreferenced == set(), "a library primitive gained a caller; drop it here"
+
+
+def _kernel_bypasses(path: Path) -> list[str]:
+    """Eigen routines ``path`` reaches other than through the kernel pair.
+
+    That is any ``*.linalg.eig*`` attribute, any ``eig*`` name imported from a
+    ``linalg`` module, and, in ``operator_core``, a LAPACK gufunc used outside
+    ``_eigh``/``_eigvalsh``.
+    """
+    tree = ast.parse(path.read_text())
+    kernel = {
+        id(n)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in ("_eigh", "_eigvalsh")
+        for n in ast.walk(node)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("eig"):
+            if "linalg" in ast.unparse(node.value):
+                found.append(f"line {node.lineno}: {ast.unparse(node)}")
+        elif isinstance(node, ast.ImportFrom) and "linalg" in (node.module or ""):
+            for alias in node.names:
+                if alias.name.startswith("eig") and not (
+                    path.name == "operator_core.py" and node.module == "numpy.linalg._umath_linalg"
+                ):
+                    found.append(f"line {node.lineno}: {node.module}.{alias.name}")
+        elif isinstance(node, ast.Name) and node.id in ("_eigh_lo", "_eigvalsh_lo"):
+            if id(node) not in kernel:
+                found.append(f"line {node.lineno}: {node.id} outside the kernel")
+    return found
+
+
+def test_every_eigendecomposition_goes_through_the_kernel():
+    bypasses = {p.name: _kernel_bypasses(p) for p in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in bypasses.items() if found} == {}
