@@ -73,7 +73,7 @@ Both steppers fix an iterate's support at set-up, as the iteration keeps
 it in exact arithmetic, and no half-step applies the relative cutoff: a
 quantum half-step keeps the r largest eigenpairs of its matrix, r the rank
 of rho_A or rho_B at the cutoff (``_AmRun._keep``), and the classical one
-powers on the marginal supports of P^alpha.
+runs on the block of P^alpha's marginal supports.
 
 The trace ``_drive`` returns keeps the final eigenpairs (the final PMFs of a
 classical run) behind two builders from ``run.operators()``:
@@ -81,17 +81,18 @@ classical run) behind two builders from ``run.operators()``:
 as the stepper would build them, and the stepper itself, with its rho^alpha
 matrix, is freed when ``_drive`` returns.
 
-Set-up.  What a solve needs from the state alone is decomposed once per
-``BipartiteState`` and cached on it: the spectrum of rho, from which each
-order builds rho^alpha, and the A marginal with its spectrum.  Every order
-of a sweep and every cutoff starts from those arrays, as do the support
-ranks, read off them with the B marginal's eigenvalues.  ``_AmRun`` always
-starts from the eigenpairs of the restricted initializer (``_AmRun.initial``).
-For the marginal initializer they are (w_s/sum w_s, V_s), the support part of
-the cached marginal spectrum at the run's cutoff, so it costs no
-decomposition; a uniform or explicit initializer is compressed to that
-support at r x r (r its rank), factored once and rotated back.
-Per order there remains the rho^alpha contraction matrix and the
+Set-up.  What a solve needs from the state alone is computed once per
+``BipartiteState`` and cached on it: the spectrum of rho and the A marginal
+with its spectrum, each decomposed once, and per cutoff one set-up record
+read off them (``BipartiteState._setup``).  The record holds the support
+ranks of rho_A and rho_B, the A marginal's support pairs normalized,
+(w_s/sum w_s, V_s), and rho's spectrum with its kernel zeroed, next to the
+conjugate factor V^dag.  Every order of a sweep reads it.  ``_AmRun.initial``
+returns its pairs as the marginal initializer, which so costs nothing, and
+compresses a uniform or explicit initializer to span V_s at r x r (r its
+rank), factored once and rotated back.  ``_AmRun`` takes its ranks, and
+``_rho_alpha_tensor``, the one builder of rho^alpha, its spectrum and V^dag.
+Per order there remains rho^alpha itself, the contraction matrix and the
 certificate's constants.
 
 Per step.  At desk sizes numpy's per-call overhead, not LAPACK, is most of a
@@ -105,7 +106,14 @@ S^T = conj(V) diag(lam^(1-alpha)) V^T, which is C-contiguous and flattens
 without a copy, and the exponents 1 - alpha and 1/alpha and the factor
 alpha/(alpha-1) are fixed at set-up.  The step distance whitens the
 ``_overlap`` factor of the new sigma and reads the dominance trace as its
-squared Frobenius norm (``hilbert_metric.whitened_distance``).
+squared Frobenius norm (``hilbert_metric.whitened_distance``).  The classical
+half-step is one gemv with P^alpha compressed to its support block at
+set-up, and two plain powers (``classical_rmi._ClassicalRun``).  Where an
+order's powers leave float64 a run raises ``FloatingPointError`` saying
+where it shows: a half-step matrix LAPACK cannot decompose is tested for
+finiteness on that failure path only, so a step makes no extra numpy call;
+``_linear_start`` checks that c_A has not underflowed to 0, and the
+classical stepper that P^alpha has not underflowed at every entry.
 """
 
 from __future__ import annotations
@@ -113,10 +121,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 from .hilbert_metric import whitened_distance
 from .operator_core import (
@@ -128,8 +137,6 @@ from .operator_core import (
     _overlap,
     _power,
     support_eigh,
-    support_mask,
-    support_pairs,
 )
 from .petz_divergence import DomainViolation, _check_alpha, _rho_alpha_tensor
 
@@ -288,9 +295,17 @@ def _compress(sigma0: HermitianOperator, vs: np.ndarray, cut: SupportCutoff) -> 
     return compressed / tr
 
 
-def _rank(w: np.ndarray, cut: SupportCutoff) -> int:
-    """Support rank at the cutoff of an ascending spectrum."""
-    return int(np.count_nonzero(support_mask(w, cut, float(w[-1]))))
+@lru_cache(maxsize=None)
+def _flat_identity(dim: int) -> np.ndarray:
+    """The ``dim`` x ``dim`` identity, flattened and read-only: a partial trace's gemv operand."""
+    eye = np.eye(dim).ravel()
+    eye.flags.writeable = False
+    return eye
+
+
+def _out_of_range(what: str) -> FloatingPointError:
+    """The error of a run whose order's powers leave float64; ``what`` is where it shows."""
+    return FloatingPointError(f"{what}: the powers of this order leave the float64 range")
 
 
 def _operator(vals: np.ndarray, vecs: np.ndarray) -> HermitianOperator:
@@ -320,13 +335,13 @@ class _AmRun:
     def initial(rho_ab: BipartiteState, config: AmConfig) -> tuple[np.ndarray, np.ndarray]:
         """Eigenpairs of the restricted initializer, the form the run starts from.
 
-        The A marginal restricted to its own support is (w_s/sum w_s, V_s) of
-        its cached spectrum, so that initializer costs no decomposition.
+        The A marginal restricted to its own support is (w_s/sum w_s, V_s),
+        read off the state's set-up at the cutoff, so that initializer costs
+        nothing once the state has been solved at that cutoff.
         """
         raw = _initializer(config, rho_ab.d_a)
         if raw is None:
-            w, v = support_pairs(*rho_ab.marginal_spectrum, config.cut)
-            return w / float(w.sum()), v
+            return rho_ab._setup(config.cut).marginal
         return _restricted_pairs(rho_ab, raw, config.cut)
 
     def __init__(
@@ -346,8 +361,8 @@ class _AmRun:
         r4 = _rho_alpha_tensor(rho_ab, alpha, cut)
         # m[(a, c), (b, d)] = r4[a, b, c, d], so each half-step is a gemv from one side.
         self.m = r4.transpose(0, 2, 1, 3).reshape(self.d_a**2, self.d_b**2)
-        self.rank_a = _rank(rho_ab.marginal_spectrum[0], cut)
-        self.rank_b = _rank(rho_ab._marginal_b_spectrum, cut)
+        setup = rho_ab._setup(cut)
+        self.rank_a, self.rank_b = setup.rank_a, setup.rank_b
         self.sigma_vals, self.sigma_vecs = sigma0
         self.sigma0_min = float(self.sigma_vals[0])
         self.prev_sigma: tuple[np.ndarray, np.ndarray] | None = None
@@ -359,9 +374,15 @@ class _AmRun:
         ``support_pairs`` at a zero threshold applies the PSD guard and drops a
         nonpositive eigenvalue.  Above order one a dropped direction leaves
         the Petz domain, so it raises; below it the direction weighs zero,
-        unless every direction is dropped.
+        unless every direction is dropped.  A matrix LAPACK cannot decompose
+        is tested for finiteness there, on the failure path only.
         """
-        vals, vecs = support_eigh(mat, _NO_CUT)
+        try:
+            vals, vecs = support_eigh(mat, _NO_CUT)
+        except LinAlgError:
+            if np.isfinite(mat).all():
+                raise
+            raise _out_of_range("the half-step matrix is not finite") from None
         if vals.size > rank:
             return vals[-rank:], vecs[:, -rank:]
         if vals.size < rank and (self.alpha > 1.0 or not vals.size):
@@ -422,12 +443,12 @@ class _AmRun:
 
     def lambda_a(self) -> float:
         """Smallest supported eigenvalue of the A marginal of rho^alpha."""
-        marginal = (self.m @ np.eye(self.d_b).ravel()).reshape(self.d_a, self.d_a)
+        marginal = (self.m @ _flat_identity(self.d_b)).reshape(self.d_a, self.d_a)
         return float(support_eigh(marginal, self.cut)[0][0])
 
     def lambda_b(self) -> float:
         """Smallest supported eigenvalue of the B marginal of rho^alpha."""
-        marginal = (np.eye(self.d_a).ravel() @ self.m).reshape(self.d_b, self.d_b)
+        marginal = (_flat_identity(self.d_a) @ self.m).reshape(self.d_b, self.d_b)
         return float(support_eigh(marginal, self.cut)[0][0])
 
 
@@ -435,7 +456,7 @@ def _restricted_pairs(
     rho_ab: BipartiteState, sigma0: HermitianOperator, cut: SupportCutoff
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of ``restrict_initializer(sigma0, rho_A, cut)``, factored at r x r."""
-    vs = support_pairs(*rho_ab.marginal_spectrum, cut)[1]
+    vs = rho_ab._setup(cut).marginal[1]
     vals, vecs = support_eigh(_compress(sigma0, vs, cut), cut)
     return vals, vs @ vecs
 
@@ -451,6 +472,10 @@ def _linear_start(run) -> LinearConstants:
     alpha = run.alpha
     lam_a, q0 = run.lambda_a(), run.q
     c_a = (lam_a / q0) ** (1.0 / alpha)
+    if not c_a > 0.0:
+        raise _out_of_range(
+            f"c_A = (lambda_A/q0)^(1/alpha) underflows to 0 (lambda_A = {lam_a:.3e}, q0 = {q0:.3e})"
+        )
     c0 = -2.0 * math.log(min(run.sigma0_min, c_a))
     return LinearConstants(gamma=1.0 - 1.0 / alpha, c0=c0, lambda_a=lam_a, q0=q0, c_a=c_a)
 

@@ -15,13 +15,19 @@ the body of every iterating entry point, which takes its initializer
 ``classical_linear_constants`` reads its constants through
 ``am_engine._constants``.  The support cutoff acts at set-up, on P and on
 the initial q, and each half-step keeps the supports of the marginals fixed
-there, which is what the iteration preserves in exact arithmetic.  The
-linear certificate holds at every order above one
-(``_ClassicalRun.linear_max``).  ``cc_embed`` stays as the reference the
-tests compare against.  ``cross_ratio_diameter`` and
-``birkhoff_kappa_classical`` give the exact projective diameter of the
-classical map and its Birkhoff rate; both require a strictly positive PMF
-and raise ``NotStrictlyPositive`` otherwise.
+there, which is what the iteration preserves in exact arithmetic.  So the
+stepper compresses P^alpha to that support block once and carries q and r
+on it: a half-step is one gemv with the dense block and two plain powers,
+with no mask, and the full-length PMFs are built only when an operator or a
+map's output is asked for.  Above order one a zero on the support raises
+``DomainViolation``, as the quantum stepper does when a half-step loses a
+support direction; below it a zero weighs zero.  The linear certificate
+holds at every order above one (``_ClassicalRun.linear_max``).
+``cc_embed`` stays as the reference the tests compare against.
+``cross_ratio_diameter`` and ``birkhoff_kappa_classical`` give the exact
+projective diameter of the classical map and its Birkhoff rate; both
+require a strictly positive PMF and raise ``NotStrictlyPositive``
+otherwise.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from .am_engine import (
     OrthogonalInitializer,
     _constants,
     _initializer,
+    _out_of_range,
     _solve,
     step_floor,
 )
@@ -166,7 +173,8 @@ def _map_once(P: np.ndarray, q: np.ndarray, alpha: float) -> Pmf:
         why = "has points outside" if alpha > 1 else "is disjoint from"
         raise DomainViolation(f"at alpha={alpha:g} the marginal support {why} the PMF support")
     _check_alpha(alpha)  # the quantum maps' orders; the stepper divides by alpha - 1
-    return Pmf.from_weights(_ClassicalRun(P, alpha, DEFAULT_CUT, q).r_y)
+    run = _ClassicalRun(P, alpha, DEFAULT_CUT, q)
+    return Pmf.from_weights(_full(run.r_y, run.supp_y))
 
 
 def n_x_to_y(p_xy, q_x, alpha: float) -> Pmf:
@@ -220,19 +228,36 @@ def _restrict_pmf(q: np.ndarray, p_marg: np.ndarray, cut: SupportCutoff) -> np.n
     return restricted / tr
 
 
+def _full(v: np.ndarray, supp: np.ndarray) -> np.ndarray:
+    """The vector that is ``v`` on the mask ``supp`` and zero elsewhere."""
+    out = np.zeros(supp.size)
+    out[supp] = v
+    return out
+
+
+def _diagonal_on(v: np.ndarray, supp: np.ndarray) -> HermitianOperator:
+    return HermitianOperator.diagonal(_full(v, supp))
+
+
 class _ClassicalRun:
     """``am_engine._AmRun`` on a diagonal state, with vectors for eigenpairs.
 
     The cutoff acts once, at set-up: on P before the power alpha and on the
-    initial q (the support eigenvalues of rho and of sigma0).  Each
-    half-step's weights w are then powered 1/alpha on the support of the
-    marginal they live on, fixed at set-up as the nonzero row and column
-    sums of P^alpha, and q and r on their exact nonzero entries.  A relative
-    cutoff on w itself would drop supported points once alpha is large,
-    since the range of w grows like the range of P to the power alpha.
-    The run is built half-stepped, and the maps contract d_H at every order
-    above one.  As in ``_AmRun``, the exponents 1 - alpha and 1/alpha and the
-    factor alpha/(alpha-1) are fixed at set-up.
+    initial q (the support eigenvalues of rho and of sigma0).  The supports
+    of the two marginals are fixed there too, as the nonzero row and column
+    sums of P^alpha, and P^alpha is compressed to that dense block once.  q
+    and r (``q_x``, ``r_y``) live on the block; full-length vectors are
+    built only on request (``operators``).  Each half-step is then one gemv
+    with the block and plain powers.  Its weights w are powered 1/alpha with
+    no mask: above order one a zero in w leaves the domain and raises
+    ``DomainViolation``, as ``_AmRun._keep`` does, and below it a zero
+    weighs zero.  So no iterate has a zero to mask in its power 1 - alpha
+    either, except the initial q, which is powered under its mask once.  A
+    relative cutoff on w itself would drop supported points once alpha is
+    large, since the range of w grows like the range of P to the power
+    alpha.  The run is built half-stepped, and the maps contract d_H at every
+    order above one.  As in ``_AmRun``, the exponents 1 - alpha and 1/alpha
+    and the factor alpha/(alpha-1) are fixed at set-up.
     """
 
     linear_max = math.inf
@@ -250,17 +275,25 @@ class _ClassicalRun:
         self._dual = 1.0 - alpha
         self._inv = 1.0 / alpha
         self._x_scale = alpha / (alpha - 1.0)
-        self.wa = _pow_on(P, support_mask(P, cut), alpha)
-        self.supp_x = self.wa.sum(axis=1) > 0
-        self.supp_y = self.wa.sum(axis=0) > 0
-        self.q_x = np.where(support_mask(q0, cut), q0, 0.0)
-        self.sigma0_min = float(self.q_x[self.q_x > 0].min())
+        self._dims = P.shape[0] + P.shape[1]
+        wa = _pow_on(P, support_mask(P, cut), alpha)
+        self.supp_x, self.supp_y = wa.sum(axis=1) > 0, wa.sum(axis=0) > 0
+        self.block = wa.compress(self.supp_x, axis=0).compress(self.supp_y, axis=1)
+        if not self.block.size:
+            raise _out_of_range("P^alpha underflows to 0 at every entry")
+        q = np.where(support_mask(q0, cut), q0, 0.0)
+        self.sigma0_min = float(q[q > 0].min())
+        self.q_x = q[self.supp_x]
+        self._q_dual = _pow_on(self.q_x, self.q_x > 0, self._dual)
         self.prev_q: np.ndarray | None = None
         self.a_to_b()
 
-    def _root(self, w: np.ndarray, supp: np.ndarray) -> tuple[np.ndarray, float]:
-        """w^(1/alpha) on the marginal support ``supp``, normalized, and its prior mass."""
-        t = _pow_on(w, supp, self._inv)
+    def _root(self, w: np.ndarray) -> tuple[np.ndarray, float]:
+        """w^(1/alpha) normalized, and its prior mass, for weights w on their fixed support."""
+        if self.alpha > 1.0 and not w.all():
+            kept = np.count_nonzero(w)
+            raise DomainViolation(f"iterate kept {kept} of its {w.size} support points")
+        t = w**self._inv
         s = float(t.sum())
         if s <= 0:
             raise DomainViolation("iterate collapsed to zero")
@@ -268,15 +301,14 @@ class _ClassicalRun:
 
     def a_to_b(self) -> None:
         """Update r from q; refresh the objective via the closed form."""
-        w = _pow_on(self.q_x, self.q_x > 0, self._dual) @ self.wa
-        self.r_y, s = self._root(w, self.supp_y)
+        self.r_y, s = self._root(self._q_dual @ self.block)
         self.x = self._x_scale * math.log(s)
         self.q = s**self.alpha
 
     def b_to_a(self) -> None:
         """Update q from r."""
-        w = self.wa @ _pow_on(self.r_y, self.r_y > 0, self._dual)
-        self.q_x = self._root(w, self.supp_x)[0]
+        self.q_x = self._root(self.block @ self.r_y**self._dual)[0]
+        self._q_dual = self.q_x**self._dual
 
     def full_step(self) -> None:
         self.prev_q = self.q_x
@@ -286,24 +318,29 @@ class _ClassicalRun:
     def step_distance(self) -> float:
         """d_H(q_{n-1}, q_n) plus the rounding floor; +inf when the support changed."""
         supp = self.prev_q > 0
-        if not np.array_equal(supp, self.q_x > 0):
+        if (supp != (self.q_x > 0)).any():
             return math.inf
         ratio = self.q_x[supp] / self.prev_q[supp]
         dist = spread_distance(ratio.max(), ratio.min(), self.cut.rel_tol)
-        return dist + step_floor(self.alpha, self.q_x.size + self.r_y.size, 1.0)
+        return dist + step_floor(self.alpha, self._dims, 1.0)
 
     def operators(self):
-        """Builders of the current q and r as diagonal operators; they hold PMFs, not the run."""
-        diagonal = HermitianOperator.diagonal
-        return partial(diagonal, self.q_x), partial(diagonal, self.r_y)
+        """Builders of the current q and r as full-length diagonal operators.
+
+        They hold the block PMFs and their masks, not the run.
+        """
+        return (
+            partial(_diagonal_on, self.q_x, self.supp_x),
+            partial(_diagonal_on, self.r_y, self.supp_y),
+        )
 
     def lambda_a(self) -> float:
         """Smallest nonzero row sum of P^alpha (the A marginal of rho^alpha)."""
-        return float(self.wa.sum(axis=1)[self.supp_x].min())
+        return float(self.block.sum(axis=1).min())
 
     def lambda_b(self) -> float:
         """Smallest nonzero column sum of P^alpha (the B marginal of rho^alpha)."""
-        return float(self.wa.sum(axis=0)[self.supp_y].min())
+        return float(self.block.sum(axis=0).min())
 
 
 def classical_linear_constants(p_xy, q0_pmf, alpha: float) -> LinearConstants:

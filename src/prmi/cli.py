@@ -13,9 +13,12 @@ error unless ``--uncertified`` is given, which runs the plain iteration for
 
 Exit codes: 0 when every run terminated on its certificate, 2 on validation
 or range errors, on two orders whose trace paths coincide (checked before
-any solve) and when an iterate leaves its support above order one
-(``DomainViolation``), 3 when an iteration cap was hit without a certificate,
-4 when a trace document could not be written.
+any solve), when an iterate leaves its support above order one
+(``DomainViolation``) and when an order's powers leave the float64 range
+(``FloatingPointError``, which names where it shows), 3 when an iteration
+cap was hit without a certificate, 4 when a trace document could not be
+written.  Each solve runs with numpy's floating-point warnings off, so such
+an order reports one error line, not a warning per operation.
 """
 
 from __future__ import annotations
@@ -285,10 +288,12 @@ def run(args: argparse.Namespace) -> int:
                 max_iter=args.max_iter,
                 cut=cut,
             )
-            trace = _solve(data, config, args.uncertified)
+            with np.errstate(all="ignore"):
+                trace = _solve(data, config, args.uncertified)
         except (
             ValidationError,
             ValueError,
+            FloatingPointError,
             InvalidOperator,
             DomainViolation,
             OrthogonalInitializer,

@@ -100,10 +100,10 @@ class HermitianOperator:
         mat = np.asarray(entries, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise InvalidOperator(f"expected a square matrix, got shape {mat.shape}")
-        if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
+        if not np.isfinite(mat).all():
             raise InvalidOperator("entries contain non-finite values")
-        scale = np.max(np.abs(mat)) if mat.size else 0.0
-        asym = np.max(np.abs(mat - mat.conj().T))
+        scale = np.abs(mat).max()
+        asym = np.abs(mat - mat.conj().T).max()
         if asym > rtol * max(scale, 1e-300):
             raise InvalidOperator(
                 f"matrix is not self-adjoint: asymmetry {asym:.3e} exceeds {rtol:.1e} * {scale:.3e}"
@@ -220,7 +220,11 @@ def support_eigh(mat: np.ndarray, cut: SupportCutoff) -> tuple[np.ndarray, np.nd
 
 
 def _power(w: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
-    """V diag(w^p) V^dag from eigenpairs ``(w, v)``: the one spectral power."""
+    """V diag(w^p) V^dag from eigenpairs ``(w, v)``.
+
+    ``petz_divergence._rho_alpha_tensor`` forms the same product with the
+    V^dag that the state's set-up caches.
+    """
     return (v * w**p) @ v.conj().T
 
 
@@ -337,6 +341,46 @@ def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) 
     return HermitianOperator._wrap(m / np.trace(m).real)
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True)
+class _SolveSetup:
+    """What every solve of one state at one cutoff reads, whatever its order.
+
+    Built once per state and cutoff (``BipartiteState._setup``), read-only:
+
+    - ``rank_a``, ``rank_b``: the support ranks of rho_A and rho_B at the
+      cutoff, which every iterate keeps;
+    - ``marginal``: (w_s/sum w_s, V_s), the support part of the A marginal's
+      spectrum normalized.  It is the restricted marginal initializer, and
+      every other initializer is compressed to span V_s;
+    - ``w_cut``, ``vh``: rho's spectrum with its kernel set to zero, and
+      V^dag, from which each order builds rho^alpha = V diag(w_cut^alpha) V^dag.
+    """
+
+    rank_a: int
+    rank_b: int
+    marginal: tuple[np.ndarray, np.ndarray]
+    w_cut: np.ndarray
+    vh: np.ndarray
+
+    @classmethod
+    def of(cls, state: "BipartiteState", cut: SupportCutoff) -> "_SolveSetup":
+        w_s, v_s = support_pairs(*state.marginal_spectrum, cut)
+        w_b = state._marginal_b_spectrum
+        w, v = state.spectrum
+        return cls(
+            rank_a=w_s.size,
+            rank_b=int(np.count_nonzero(support_mask(w_b, cut, float(w_b[-1])))),
+            marginal=(_frozen(w_s / float(w_s.sum())), _frozen(v_s)),
+            w_cut=_frozen(np.where(support_mask(w, cut), w, 0.0)),
+            vh=_frozen(v.conj().T),
+        )
+
+
 @dataclass(frozen=True)
 class BipartiteState:
     """Density operator on A⊗B with recorded subsystem dimensions.
@@ -344,8 +388,9 @@ class BipartiteState:
     Everything a solve needs from the state alone is computed on first use
     and kept on the instance, read-only: the spectrum of ``op``, the two
     marginals, the spectrum of the A marginal and the eigenvalues of the B
-    marginal.  Every order of a sweep and every cutoff starts from the same
-    arrays; two states with equal entries share nothing.
+    marginal, and per cutoff the :class:`_SolveSetup` read off them
+    (``_setup``).  Every order of a sweep starts from the same arrays; two
+    states with equal entries share nothing.
     """
 
     d_a: int
@@ -410,3 +455,14 @@ class BipartiteState:
         w = _eigvalsh(self.marginal_b().entries)
         w.flags.writeable = False
         return w
+
+    @cached_property
+    def _setups(self) -> dict[SupportCutoff, _SolveSetup]:
+        return {}
+
+    def _setup(self, cut: SupportCutoff) -> _SolveSetup:
+        """The order-independent set-up of every solve at ``cut``, built on first use."""
+        setup = self._setups.get(cut)
+        if setup is None:
+            setup = self._setups[cut] = _SolveSetup.of(self, cut)
+        return setup

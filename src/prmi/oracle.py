@@ -249,7 +249,9 @@ def grid_min_classical(p_xy, alpha: float, step: float) -> OracleResult:
     count of at least one on each support row: the lattice of m − |supp|
     shifted up by one on those rows, in the full lattice's column order.
     ``step`` must be 1/m for an integer m, else ``ValueError``.  Raw weights
-    are validated as a ``JointPmf``.
+    are validated as a ``JointPmf``.  An order at which P^alpha on the
+    support or the grid powers are not finite and positive in float64 also
+    raises ``ValueError``, before the search.
     """
     from .classical_rmi import _validated_joint
 
@@ -260,8 +262,22 @@ def grid_min_classical(p_xy, alpha: float, step: float) -> OracleResult:
     m = _simplex_size(step)
     _check_alpha(alpha)
 
+    on = P > 0
+    powered = P[on] ** alpha
+    # P <= 1, so P^alpha can only underflow; the grid powers are monotone in
+    # the count, between step^(1-alpha) and 1, and a Python float power
+    # raises OverflowError where numpy's would warn and give inf.
+    try:
+        in_range = powered.min() > 0.0 and float(step) ** (1.0 - float(alpha)) < math.inf
+    except OverflowError:
+        in_range = False
+    if not in_range:
+        raise ValueError(
+            f"alpha={alpha:g}: P^alpha on the support or the grid powers (n*step)^(1-alpha) "
+            "are not finite and positive in float64"
+        )
     wa = np.zeros_like(P)
-    wa[P > 0] = P[P > 0] ** alpha
+    wa[on] = powered
     active_x = P.sum(axis=1) > 0
     active_y = P.sum(axis=0) > 0
     g = _grid_powers(alpha, step)

@@ -24,8 +24,6 @@ from .operator_core import (
     _inside,
     _orthogonal,
     _overlap_pair,
-    _power,
-    support_mask,
 )
 
 # +inf encodes a divergence outside its finiteness domain.
@@ -76,7 +74,11 @@ def d_alpha(
 
 
 def _rho_alpha_tensor(rho_ab: BipartiteState, alpha: float, cut: SupportCutoff) -> np.ndarray:
-    """rho^alpha on its support from the cached spectrum, shaped (d_a, d_b, d_a, d_b)."""
-    w, v = rho_ab.spectrum
-    ra = _power(np.where(support_mask(w, cut), w, 0.0), v, alpha)
+    """rho^alpha on its support, shaped (d_a, d_b, d_a, d_b).
+
+    V diag(w_cut^alpha) V^dag from the state's set-up at the cutoff, the
+    kernel zeroed and V^dag formed once per state (``BipartiteState._setup``).
+    """
+    setup = rho_ab._setup(cut)
+    ra = (rho_ab.spectrum[1] * setup.w_cut**alpha) @ setup.vh
     return ra.reshape(rho_ab.d_a, rho_ab.d_b, rho_ab.d_a, rho_ab.d_b)

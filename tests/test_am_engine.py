@@ -40,7 +40,7 @@ from prmi import (
     spectrum_floors,
     sublinear_constants,
 )
-from prmi import am_engine
+from prmi import am_engine, operator_core
 from prmi.am_engine import _AmRun, _sublinear_certificate, step_floor
 from prmi.classical_rmi import _ClassicalRun, classical_linear_constants
 from prmi.operator_core import InvalidOperator, support_eigh
@@ -327,6 +327,62 @@ class TestSetupCacheScope:
                 assert np.array_equal(reused.x_values, fresh.x_values)
                 assert reused.terminated_by == fresh.terminated_by
                 assert np.array_equal(reused.final_sigma_a.entries, fresh.final_sigma_a.entries)
+
+
+def _sweep_records(trace):
+    """Everything a trace reports but its wall times, for bit-for-bit comparison by ``repr``."""
+    rows = [(r.n, r.x_n, r.eps_n, r.q_n) for r in trace.records]
+    return repr((rows, trace.final_x, trace.terminated_by))
+
+
+SWEEP_ORDERS = (0.6, 0.75, 0.9, 1.25, 1.5, 2.0)
+
+
+def _certified(state, alpha, **kw):
+    config = AmConfig(alpha=alpha, eps0=1e-6 if alpha > 1 else 1e-4, **kw)
+    return (algorithm1 if alpha > 1 else algorithm2)(state, config)
+
+
+class TestSetupRecord:
+    """The order-independent set-up is built once per state and cutoff, and changes no output."""
+
+    def test_built_once_per_cutoff(self, rng, monkeypatch):
+        built = Counter()
+        real = operator_core._SolveSetup.of
+
+        def of(state, cut):
+            built[cut] += 1
+            return real(state, cut)
+
+        monkeypatch.setattr(operator_core._SolveSetup, "of", staticmethod(of))
+        state = random_state(2, 3, rng)
+        for alpha, init in zip(SWEEP_ORDERS, itertools.cycle(("marginal", "uniform"))):
+            _certified(state, alpha, init=init)
+        run_uncertified(state, AmConfig(alpha=3.0), 2)
+        assert built == {DEFAULT_CUT: 1}
+        coarse = SupportCutoff(1e-3)
+        for alpha in SWEEP_ORDERS:
+            _certified(state, alpha, cut=coarse)
+        assert built == {DEFAULT_CUT: 1, coarse: 1}
+
+    @pytest.mark.parametrize("kind", ["full", "skewed", "rank 3"])
+    def test_sweep_on_one_state_matches_fresh_states(self, rng, kind):
+        if kind == "full":
+            entries = random_density(6, rng).entries
+        elif kind == "skewed":
+            entries = _skewed_marginal(rng).op.entries
+        else:
+            entries = random_density(6, rng, rank=3).entries
+        shared = BipartiteState.from_matrix(entries, 2, 3)
+        for alpha in SWEEP_ORDERS:
+            for init in ("marginal", "uniform"):
+                fresh = _certified(BipartiteState.from_matrix(entries, 2, 3), alpha, init=init)
+                assert _sweep_records(_certified(shared, alpha, init=init)) == _sweep_records(fresh)
+
+    def test_record_is_read_only(self, rng):
+        setup = random_state(2, 3, rng)._setup(DEFAULT_CUT)
+        for arr in (*setup.marginal, setup.w_cut, setup.vh):
+            assert not arr.flags.writeable
 
 
 class TestRestrictInitializer:

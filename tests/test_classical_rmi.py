@@ -283,6 +283,68 @@ class TestEmbeddingEquivalence:
             assert np.max(np.abs(classical.x_values - quantum.x_values)) <= 1e-12
 
 
+def _block_pmfs():
+    """PMFs whose support block is smaller than the PMF: a zero row, a zero column, a cut entry."""
+    rng = np.random.default_rng(21)
+    zero_row = random_pmf((3, 3), rng)
+    zero_row[1] = 0.0
+    zero_col = random_pmf((2, 3), rng)
+    zero_col[:, 0] = 0.0
+    cut = random_pmf((3, 2), rng)
+    cut[2, 1] = 1e-15  # below the default cutoff, 1e-12 of the largest entry
+    return [p / p.sum() for p in (zero_row, zero_col, cut)]
+
+
+class TestBlockStepper:
+    """The stepper on its support block is the quantum stepper on the embedding."""
+
+    @pytest.mark.parametrize("alpha", [0.6, 1.5, 4.0])
+    def test_iterates_match_the_embedded_quantum_run(self, alpha):
+        cfg = AmConfig(alpha=alpha, record_states=True)
+        for p in _block_pmfs():
+            classical = run_uncertified_classical(p, cfg, 25)
+            quantum = run_uncertified(cc_embed(p), cfg, 25)
+            assert np.max(np.abs(classical.x_values - quantum.x_values)) <= 1e-10
+            for ours, theirs in zip(
+                classical.sigma_states + classical.tau_states,
+                quantum.sigma_states + quantum.tau_states,
+            ):
+                assert ours.entries.shape == theirs.entries.shape
+                assert np.max(np.abs(ours.entries - theirs.entries)) <= 1e-10
+
+    def test_block_is_p_alpha_on_its_support(self):
+        shapes = []
+        for p in _block_pmfs():
+            run = _ClassicalRun(p, 1.5, DEFAULT_CUT, p.sum(axis=1))
+            kept = np.where(p > 1e-12 * p.max(), p, 0.0)
+            rows, cols = kept.any(axis=1), kept.any(axis=0)
+            assert np.array_equal(run.block, kept[rows][:, cols] ** 1.5)
+            assert (run.q_x.size, run.r_y.size) == run.block.shape
+            shapes.append(run.block.shape)
+        assert shapes == [(2, 3), (2, 2), (3, 2)]
+
+    @pytest.mark.parametrize("alpha", [0.75, 1.5])
+    def test_zero_on_the_support(self, alpha):
+        # The initializer vanishes at x = 1, so the first r vanishes at y = 1,
+        # inside the column support: above order one that leaves the domain,
+        # below it the point weighs zero.  The quantum stepper on the
+        # embedding does the same.
+        p = np.array([[0.5, 0.0], [0.0, 0.5]])
+        sigma0 = HermitianOperator.diagonal([1.0, 0.0])
+        cfg = AmConfig(alpha=alpha, init="explicit", sigma0=sigma0)
+        if alpha > 1:
+            with pytest.raises(DomainViolation, match="kept 1 of its 2"):
+                run_uncertified_classical(p, cfg, 3)
+            with pytest.raises(DomainViolation, match="kept 1 of its 2"):
+                run_uncertified(cc_embed(p), cfg, 3)
+            return
+        classical = run_uncertified_classical(p, cfg, 3)
+        quantum = run_uncertified(cc_embed(p), cfg, 3)
+        assert np.array_equal(np.diag(classical.final_tau_b.entries).real, [1.0, 0.0])
+        assert np.array_equal(np.diag(classical.final_sigma_a.entries).real, [1.0, 0.0])
+        assert np.max(np.abs(classical.x_values - quantum.x_values)) <= 1e-12
+
+
 class TestContractionClassical:
     @pytest.mark.parametrize("alpha", [0.6, 0.75, 1.5, 2.0, 4.0])
     def test_sampled_ratio_below_gamma(self, rng, alpha):

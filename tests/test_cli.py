@@ -447,3 +447,49 @@ class TestMain:
             assert main(argv) == EXIT_OK
             final_x[tol] = float(capsys.readouterr().out.split("final_x=")[1].split()[0])
         assert final_x["1e-12"] - final_x["1e-3"] > 1e-6
+
+
+class TestOrdersPastFloat64:
+    """An order whose powers leave float64 exits 2 with one line naming its cause."""
+
+    @staticmethod
+    def _main(argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would fail the run
+            code = main(argv)
+        return code, capsys.readouterr().err
+
+    def test_quantum_half_step_overflow_named(self, tmp_path, capsys):
+        # sigma^(1 - alpha) overflows, and the next half-step matrix holds NaN.
+        path, out = tmp_path / "r.json", tmp_path / "t.json"
+        save_state(random_state(2, 2, np.random.default_rng(0)), path)
+        argv = [str(path), "--alpha", "600", "--uncertified", "--max-iter", "5"]
+        code, err = self._main(argv + ["--trace-out", str(out)], capsys)
+        assert code == EXIT_INVALID
+        assert err == (
+            "error: alpha=600: the half-step matrix is not finite: "
+            "the powers of this order leave the float64 range\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "alpha, cause",
+        [
+            # lambda_A, the smallest row sum of P^280, is 2e-303 and q0 2e22, so
+            # c_A = (lambda_A/q0)^(1/alpha) underflows and c0 = -2 log c_A is undefined.
+            ("280", "c_A = (lambda_A/q0)^(1/alpha) underflows to 0 (lambda_A = 2.190e-303"),
+            # the largest weight is 0.25, and 0.25^1000 is below the smallest float64
+            ("1000", "P^alpha underflows to 0 at every entry"),
+        ],
+    )
+    def test_classical_underflow_named(self, tmp_path, capsys, alpha, cause):
+        w = np.random.default_rng(2).random((3, 3))
+        path, out = tmp_path / "p.csv", tmp_path / "t.json"
+        np.savetxt(path, w / w.sum(), delimiter=",", fmt="%.17g")
+        argv = [str(path), "--mode", "classical", "--alpha", alpha, "--trace-out", str(out)]
+        code, err = self._main(argv, capsys)
+        assert code == EXIT_INVALID
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: alpha={alpha}: {cause}")
+        assert err.endswith("the powers of this order leave the float64 range\n")
+        assert not out.exists()

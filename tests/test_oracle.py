@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -210,6 +211,17 @@ class TestClassicalOracle:
         # are not convex in float64 and no transfer-optimal point is certified
         with pytest.raises(ArithmeticError):
             grid_min_classical(np.array([[0.4, 0.1], [0.2, 0.3]]), 1.0 + 1e-14, 0.01)
+
+    @pytest.mark.parametrize("alpha, step", [(300.0, 0.05), (300.0, 0.01), (160.0, 0.01)])
+    def test_orders_past_float64_raise(self, alpha, step):
+        # The grid powers step^(1 - alpha) overflow, and at alpha 300 the
+        # smallest weights' P^alpha underflow too.  Past the check the search
+        # gives NaN at alpha 300 and an IndexError at alpha 160.
+        w = np.random.default_rng(2).random((3, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"alpha={alpha:g}: P\\^alpha on the support"):
+                grid_min_classical(w / w.sum(), alpha, step)
 
     def test_rejects_invalid_joint_pmf(self):
         with pytest.raises(ValueError):
