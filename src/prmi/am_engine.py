@@ -96,24 +96,37 @@ Per order there remains rho^alpha itself, the contraction matrix and the
 certificate's constants.
 
 Per step.  At desk sizes numpy's per-call overhead, not LAPACK, is most of a
-step, so the steppers keep the number of numpy calls down without changing
-what is decomposed.  A solve takes 2 + 2n ``eigh`` and n ``eigvalsh`` with
-the linear certificate, 3 + 2n ``eigh`` with the sublinear one, each through
-``operator_core``'s kernel pair ``_eigh``/``_eigvalsh``, which calls the
-LAPACK gufunc without ``np.linalg``'s wrapper and returns the same bits.  Each
-quantum half-step forms its gemv operand as the transposed power
-S^T = conj(V) diag(lam^(1-alpha)) V^T, which is C-contiguous and flattens
-without a copy, and the exponents 1 - alpha and 1/alpha and the factor
-alpha/(alpha-1) are fixed at set-up.  The step distance whitens the
-``_overlap`` factor of the new sigma and reads the dominance trace as its
-squared Frobenius norm (``hilbert_metric.whitened_distance``).  The classical
-half-step is one gemv with P^alpha compressed to its support block at
-set-up, and two plain powers (``classical_rmi._ClassicalRun``).  Where an
-order's powers leave float64 a run raises ``FloatingPointError`` saying
-where it shows: a half-step matrix LAPACK cannot decompose is tested for
-finiteness on that failure path only, so a step makes no extra numpy call;
-``_linear_start`` checks that c_A has not underflowed to 0, and the
-classical stepper that P^alpha has not underflowed at every entry.
+step, so the steppers keep the number of numpy calls and Python call layers
+down without changing what is decomposed.  A solve takes 1 + 2n ``eigh`` and
+n + 1 ``eigvalsh`` with the linear certificate, 1 + 2n ``eigh`` and 2
+``eigvalsh`` with the sublinear one, each through ``operator_core``'s kernel
+pair ``_eigh``/``_eigvalsh``, which calls the LAPACK gufunc without
+``np.linalg``'s wrapper and returns the same bits: the constants read only
+the smallest supported eigenvalue of a marginal of rho^alpha, so they take
+no eigenvectors.  Each quantum half-step forms its gemv operand as the
+transposed power S^T = conj(V) diag(lam^(1-alpha)) V^T, which is
+C-contiguous and flattens without a copy; multiplies with ``np.dot``, the
+same BLAS call as ``@`` without the ``matmul`` ufunc's dispatch; and hands
+the kernel's spectrum straight to ``support_pairs``, whose guard and cutoff
+build nothing when the smallest eigenvalue is in the support.  Its mass is
+the Python ``sum`` of a list of floats, which at these sizes costs a fifth
+of ``ndarray.sum``, and the exponents 1 - alpha and 1/alpha and the factor
+alpha/(alpha-1) are fixed at set-up.  On one core of a 2-vCPU Xeon with
+BLAS on one thread, a 2x2 to 4x4 half-step takes about 10-13 us, of which
+the ``eigh`` kernel is 2.4-4.4 us, the operand 3.5 us and the gemv 0.7 us;
+the step distance takes 13-14 us and ``lambda_a`` 4-5 us.  The step
+distance whitens the ``_overlap`` factor of the new sigma and reads the
+dominance trace as its squared Frobenius norm
+(``hilbert_metric.whitened_distance``), with the conditioning kappa taken
+from lists of Python floats.  The classical half-step is one gemv with
+P^alpha compressed to its support block at set-up, and two plain powers
+(``classical_rmi._ClassicalRun``); its domain check and its mass read one
+list of Python floats.  Where an order's powers leave float64 a run raises
+``FloatingPointError`` saying where it shows: a half-step matrix LAPACK
+cannot decompose is tested for finiteness on that failure path only, so a
+step makes no extra numpy call; ``_linear_start`` checks that c_A has not
+underflowed to 0, and the classical stepper that P^alpha has not
+underflowed at every entry.
 """
 
 from __future__ import annotations
@@ -133,10 +146,13 @@ from .operator_core import (
     BipartiteState,
     HermitianOperator,
     SupportCutoff,
+    _eigh,
+    _eigvalsh,
     _orthogonal,
     _overlap,
     _power,
     support_eigh,
+    support_pairs,
 )
 from .petz_divergence import DomainViolation, _check_alpha, _rho_alpha_tensor
 
@@ -371,18 +387,21 @@ class _AmRun:
     def _keep(self, mat: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
         """The ``rank`` largest eigenpairs of a half-step matrix: the iterate on its fixed support.
 
-        ``support_pairs`` at a zero threshold applies the PSD guard and drops a
-        nonpositive eigenvalue.  Above order one a dropped direction leaves
-        the Petz domain, so it raises; below it the direction weighs zero,
-        unless every direction is dropped.  A matrix LAPACK cannot decompose
-        is tested for finiteness there, on the failure path only.
+        ``support_pairs`` at a zero threshold, on the kernel's eigenpairs,
+        applies the PSD guard and drops a nonpositive eigenvalue; a positive
+        smallest eigenvalue passes with nothing built.  Above order one a
+        dropped direction leaves the Petz domain, so it raises; below it the
+        direction weighs zero, unless every direction is dropped.  A matrix
+        LAPACK cannot decompose is tested for finiteness there, on the
+        failure path only.
         """
         try:
-            vals, vecs = support_eigh(mat, _NO_CUT)
+            w, v = _eigh(mat)
         except LinAlgError:
             if np.isfinite(mat).all():
                 raise
             raise _out_of_range("the half-step matrix is not finite") from None
+        vals, vecs = support_pairs(w, v, _NO_CUT)
         if vals.size > rank:
             return vals[-rank:], vecs[:, -rank:]
         if vals.size < rank and (self.alpha > 1.0 or not vals.size):
@@ -391,27 +410,24 @@ class _AmRun:
 
     def _dual_t(self, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
         """(V diag(vals^(1-alpha)) V^dag)^T, C-contiguous, as the flat gemv operand."""
-        return ((vecs.conj() * vals**self._dual) @ vecs.T).ravel()
+        return np.dot(vecs.conj() * vals**self._dual, vecs.T).ravel()
 
     def a_to_b(self) -> None:
         """Update tau from sigma; refresh the objective via the closed form."""
-        s_t = self._dual_t(self.sigma_vals, self.sigma_vecs)
-        w_mat = (s_t @ self.m).reshape(self.d_b, self.d_b)
-        vals, vecs = self._keep(w_mat, self.rank_b)
+        w_mat = np.dot(self._dual_t(self.sigma_vals, self.sigma_vecs), self.m)
+        vals, self.tau_vecs = self._keep(w_mat.reshape(self.d_b, self.d_b), self.rank_b)
         t = vals**self._inv
-        ssum = float(t.sum())
-        self.tau_vals = t / ssum
-        self.tau_vecs = vecs
-        self.x = self._x_scale * math.log(ssum)
-        self.q = ssum**self.alpha
+        mass = sum(t.tolist())
+        self.tau_vals = t / mass
+        self.x = self._x_scale * math.log(mass)
+        self.q = mass**self.alpha
 
     def b_to_a(self) -> None:
         """Update sigma from tau."""
-        w_mat = (self.m @ self._dual_t(self.tau_vals, self.tau_vecs)).reshape(self.d_a, self.d_a)
-        vals, vecs = self._keep(w_mat, self.rank_a)
+        w_mat = np.dot(self.m, self._dual_t(self.tau_vals, self.tau_vecs))
+        vals, self.sigma_vecs = self._keep(w_mat.reshape(self.d_a, self.d_a), self.rank_a)
         s = vals**self._inv
-        self.sigma_vals = s / float(s.sum())
-        self.sigma_vecs = vecs
+        self.sigma_vals = s / sum(s.tolist())
 
     def full_step(self) -> None:
         self.prev_sigma = (self.sigma_vals, self.sigma_vecs)
@@ -426,11 +442,11 @@ class _AmRun:
         the distance.  The conditioning kappa is taken in Python floats.
         """
         w_old, v_old = self.prev_sigma
-        w_new, t = self.sigma_vals, self.tau_vals
-        factor = _overlap(w_new, self.sigma_vecs, v_old)
-        dist = whitened_distance(factor, float(w_new.sum()), w_old, self.cut)
-        k_s = max(float(w_old[-1]) / float(w_old[0]), float(w_new[-1]) / float(w_new[0]))
-        k_t = float(t[-1]) / float(t[0])
+        old, new, t = w_old.tolist(), self.sigma_vals.tolist(), self.tau_vals.tolist()
+        factor = _overlap(self.sigma_vals, self.sigma_vecs, v_old)
+        dist = whitened_distance(factor, sum(new), w_old, self.cut)
+        k_s = max(old[-1] / old[0], new[-1] / new[0])
+        k_t = t[-1] / t[0]
         kappa = (k_s * k_t) ** (self.alpha - 1.0) * (k_s + k_t)
         return dist + step_floor(self.alpha, self.d_a + self.d_b, kappa)
 
@@ -442,14 +458,14 @@ class _AmRun:
         )
 
     def lambda_a(self) -> float:
-        """Smallest supported eigenvalue of the A marginal of rho^alpha."""
-        marginal = (self.m @ _flat_identity(self.d_b)).reshape(self.d_a, self.d_a)
-        return float(support_eigh(marginal, self.cut)[0][0])
+        """Smallest supported eigenvalue of the A marginal of rho^alpha (no eigenvectors)."""
+        marginal = np.dot(self.m, _flat_identity(self.d_b)).reshape(self.d_a, self.d_a)
+        return float(support_pairs(_eigvalsh(marginal), None, self.cut)[0][0])
 
     def lambda_b(self) -> float:
-        """Smallest supported eigenvalue of the B marginal of rho^alpha."""
-        marginal = (_flat_identity(self.d_a) @ self.m).reshape(self.d_b, self.d_b)
-        return float(support_eigh(marginal, self.cut)[0][0])
+        """Smallest supported eigenvalue of the B marginal of rho^alpha (no eigenvectors)."""
+        marginal = np.dot(_flat_identity(self.d_a), self.m).reshape(self.d_b, self.d_b)
+        return float(support_pairs(_eigvalsh(marginal), None, self.cut)[0][0])
 
 
 def _restricted_pairs(

@@ -61,6 +61,7 @@ from .operator_core import (
 from .petz_divergence import DomainViolation, _check_alpha
 
 _SUM_TOL = 1e-12
+_DIAGONAL_TOL = 1e-12
 
 
 class NotStrictlyPositive(Exception):
@@ -228,6 +229,23 @@ def _restrict_pmf(q: np.ndarray, p_marg: np.ndarray, cut: SupportCutoff) -> np.n
     return restricted / tr
 
 
+def _diagonal(op: HermitianOperator) -> np.ndarray:
+    """The weights of a diagonal initializer.
+
+    The classical run is the quantum one on ``cc_embed(P)`` only from a
+    diagonal initializer: the diagonal of any other is a different start, so
+    an off-diagonal part above ``_DIAGONAL_TOL`` times the largest entry
+    raises ``ValueError``.
+    """
+    diag = np.diag(op.entries)
+    off = float(np.abs(op.entries - np.diag(diag)).max())
+    if off > _DIAGONAL_TOL * float(np.abs(op.entries).max()):
+        raise ValueError(
+            f"a classical initializer must be diagonal: off-diagonal entry of modulus {off:.3e}"
+        )
+    return diag.real
+
+
 def _full(v: np.ndarray, supp: np.ndarray) -> np.ndarray:
     """The vector that is ``v`` on the mask ``supp`` and zero elsewhere."""
     out = np.zeros(supp.size)
@@ -267,7 +285,7 @@ class _ClassicalRun:
         """The restricted initial q: the X marginal p_x, or ``config``'s initializer's diagonal."""
         p_x = P.sum(axis=1)
         raw = _initializer(config, p_x.size)
-        return _restrict_pmf(p_x if raw is None else np.diag(raw.entries).real, p_x, config.cut)
+        return _restrict_pmf(p_x if raw is None else _diagonal(raw), p_x, config.cut)
 
     def __init__(self, P: np.ndarray, alpha: float, cut: SupportCutoff, q0: np.ndarray) -> None:
         self.alpha = alpha
@@ -289,25 +307,30 @@ class _ClassicalRun:
         self.a_to_b()
 
     def _root(self, w: np.ndarray) -> tuple[np.ndarray, float]:
-        """w^(1/alpha) normalized, and its prior mass, for weights w on their fixed support."""
-        if self.alpha > 1.0 and not w.all():
-            kept = np.count_nonzero(w)
-            raise DomainViolation(f"iterate kept {kept} of its {w.size} support points")
+        """w^(1/alpha) normalized, and its prior mass, for weights w on their fixed support.
+
+        Above order one w^(1/alpha) is zero only where w is, so the domain
+        check and the mass read one list of Python floats.
+        """
         t = w**self._inv
-        s = float(t.sum())
+        weights = t.tolist()
+        if self.alpha > 1.0 and 0.0 in weights:
+            kept = np.count_nonzero(t)
+            raise DomainViolation(f"iterate kept {kept} of its {t.size} support points")
+        s = sum(weights)
         if s <= 0:
             raise DomainViolation("iterate collapsed to zero")
         return t / s, s
 
     def a_to_b(self) -> None:
         """Update r from q; refresh the objective via the closed form."""
-        self.r_y, s = self._root(self._q_dual @ self.block)
+        self.r_y, s = self._root(np.dot(self._q_dual, self.block))
         self.x = self._x_scale * math.log(s)
         self.q = s**self.alpha
 
     def b_to_a(self) -> None:
         """Update q from r."""
-        self.q_x = self._root(self.block @ self.r_y**self._dual)[0]
+        self.q_x = self._root(np.dot(self.block, self.r_y**self._dual))[0]
         self._q_dual = self.q_x**self._dual
 
     def full_step(self) -> None:
@@ -316,12 +339,19 @@ class _ClassicalRun:
         self.a_to_b()
 
     def step_distance(self) -> float:
-        """d_H(q_{n-1}, q_n) plus the rounding floor; +inf when the support changed."""
-        supp = self.prev_q > 0
-        if (supp != (self.q_x > 0)).any():
-            return math.inf
-        ratio = self.q_x[supp] / self.prev_q[supp]
-        dist = spread_distance(ratio.max(), ratio.min(), self.cut.rel_tol)
+        """d_H(q_{n-1}, q_n) plus the rounding floor; +inf when the support changed.
+
+        Only an initial q can have a zero on the block: otherwise a zero of
+        the new q is a zero ratio, which ``spread_distance`` reads as +inf.
+        """
+        prev, new = self.prev_q, self.q_x
+        if 0.0 in prev.tolist():
+            supp = prev > 0
+            if (supp != (new > 0)).any():
+                return math.inf
+            prev, new = prev[supp], new[supp]
+        ratio = (new / prev).tolist()
+        dist = spread_distance(max(ratio), min(ratio), self.cut.rel_tol)
         return dist + step_floor(self.alpha, self._dims, 1.0)
 
     def operators(self):

@@ -2,8 +2,9 @@
 
 State files are JSON objects ``{"d_a": int, "d_b": int, "matrix": [[{"re": x,
 "im": y}, ...], ...]}`` row-major in the product basis with the B index
-fastest; PMFs are CSV matrices of nonnegative floats.  One JSON trace
-document is written per alpha.
+fastest, the dimensions JSON integers and each x, y a JSON number; PMFs are
+CSV matrices of nonnegative floats.  One JSON trace document is written per
+alpha.
 
 Each order runs ``algorithm_classical`` in classical mode, else ``algorithm1``
 above order one and ``algorithm2`` below it; which orders have a certificate
@@ -80,10 +81,18 @@ class ValidationError(Exception):
         super().__init__(f"{invariant}: {detail}" if detail else invariant)
 
 
+def _number(value) -> int | float:
+    """A real or imaginary part as the file gives it: a JSON number, not a bool or a string."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
+
+
 def _matrix_from_json(obj) -> np.ndarray:
     try:
         rows = [
-            [complex(cell["re"], cell.get("im", 0.0)) for cell in row] for row in obj
+            [complex(_number(cell["re"]), _number(cell.get("im", 0.0))) for cell in row]
+            for row in obj
         ]
     except (TypeError, KeyError, OverflowError) as exc:
         raise ParseError(f"matrix entries must be objects with 're'/'im': {exc}")

@@ -4,9 +4,11 @@ Everything downstream (divergences, projective metric, iteration maps) is
 built on eigendecompositions of small dense Hermitian matrices.  Powers of
 positive semidefinite operators are always taken on the support: eigenvalues
 below a relative cutoff count as kernel and map to zero.  That rule lives in
-``_supported`` (``support_mask`` applies it to arrays), and ``support_eigh``
-is the one eigendecomposition that applies it (through ``support_pairs``,
-which also serves eigenpairs a caller already holds).
+``_supported`` (``support_mask`` applies it to arrays).  ``support_pairs``
+applies it, with the PSD guard, to ascending eigenpairs a caller holds, or
+to eigenvalues alone, and ``support_eigh`` is the eigendecomposition that
+applies it.  The iteration's half-steps and constants call the kernel pair
+below and ``support_pairs`` directly, one Python call layer fewer.
 
 Every eigendecomposition in the package goes through one kernel pair,
 ``_eigh`` and ``_eigvalsh``: numpy's LAPACK gufuncs ``eigh_lo`` and
@@ -81,6 +83,17 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _symmetrized(mat: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
+    """(mat + mat^dag)/2 as a fresh read-only complex array, ``adjoint`` being the view mat^dag.
+
+    The sum is a new array, so it is halved and frozen in place: one pass, no copy.
+    """
+    out = np.add(mat, adjoint, dtype=np.complex128)
+    out /= 2.0
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class HermitianOperator:
     """Immutable dense self-adjoint operator.
@@ -100,20 +113,23 @@ class HermitianOperator:
         mat = np.asarray(entries, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise InvalidOperator(f"expected a square matrix, got shape {mat.shape}")
-        if not np.isfinite(mat).all():
+        # A NaN or an inf shows in the largest modulus, and so does a part too
+        # large for the symmetrized entries to stay finite (a modulus that overflows).
+        scale = float(np.abs(mat).max())
+        if not math.isfinite(scale):
             raise InvalidOperator("entries contain non-finite values")
-        scale = np.abs(mat).max()
-        asym = np.abs(mat - mat.conj().T).max()
+        adjoint = mat.conj().T
+        asym = float(np.abs(mat - adjoint).max())
         if asym > rtol * max(scale, 1e-300):
             raise InvalidOperator(
                 f"matrix is not self-adjoint: asymmetry {asym:.3e} exceeds {rtol:.1e} * {scale:.3e}"
             )
-        return cls(_readonly((mat + mat.conj().T) / 2.0))
+        return cls(_symmetrized(mat, adjoint))
 
     @classmethod
     def _wrap(cls, mat: np.ndarray) -> "HermitianOperator":
         """Trusted constructor for matrices already Hermitian by construction."""
-        return cls(_readonly((mat + mat.conj().T) / 2.0))
+        return cls(_symmetrized(mat, mat.conj().T))
 
     @classmethod
     def identity(cls, dim: int) -> "HermitianOperator":
@@ -191,23 +207,25 @@ def support_mask(values: np.ndarray, cut: SupportCutoff, top: float | None = Non
 
 
 def support_pairs(
-    w: np.ndarray, v: np.ndarray, cut: SupportCutoff
-) -> tuple[np.ndarray, np.ndarray]:
+    w: np.ndarray, v: np.ndarray | None, cut: SupportCutoff
+) -> tuple[np.ndarray, np.ndarray | None]:
     """The support part of ascending eigenpairs ``(w, v)`` of a PSD matrix.
 
     A clearly negative eigenvalue (relative to the spectral radius) is
     rejected since every caller requires a PSD argument.  When the smallest
-    eigenvalue is in the support, so is every other, and the arrays are
-    returned as given, not copied, with no mask built; the zero matrix gives
-    empty arrays.
+    eigenvalue is in the support, it is positive, so the guard holds, and so
+    is every other: the arrays are returned as given, with nothing built.
+    Otherwise the support is the top of the ascending spectrum, and the
+    arrays are sliced to it; the zero matrix gives empty arrays.  ``v`` is
+    None when only the eigenvalues were computed (``_eigvalsh``).
     """
     lo, hi = float(w[0]), float(w[-1])
-    if lo < -1e-8 * max(hi, -lo):
-        raise InvalidOperator(f"operator is not PSD: min eigenvalue {lo:.3e}")
     if _supported(lo, hi, cut):
         return w, v
-    mask = _supported(w, hi, cut)
-    return w[mask], v[:, mask]
+    if lo < -1e-8 * max(hi, -lo):
+        raise InvalidOperator(f"operator is not PSD: min eigenvalue {lo:.3e}")
+    start = w.size - int(np.count_nonzero(_supported(w, hi, cut)))
+    return w[start:], None if v is None else v[:, start:]
 
 
 def support_eigh(mat: np.ndarray, cut: SupportCutoff) -> tuple[np.ndarray, np.ndarray]:
@@ -288,7 +306,7 @@ def _overlap(wx: np.ndarray, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
     ``_inside(B)`` = ||B||_F^2, and X compressed to the complement is PSD of
     trace tr X - tr C.
     """
-    return (vy.conj().T @ vx) * np.sqrt(wx)
+    return np.dot(vy.conj().T, vx) * np.sqrt(wx)
 
 
 def _inside(b: np.ndarray) -> float:
@@ -408,7 +426,7 @@ class BipartiteState:
         w = state.spectrum[0]
         if float(w[0]) < -cls.PSD_TOL:
             raise InvalidOperator(f"state is not PSD: min eigenvalue {w[0]:.3e}")
-        tr = float(np.sum(w))
+        tr = float(w.sum())
         if abs(tr - 1.0) > cls.TRACE_TOL:
             raise InvalidOperator(f"state trace {tr} differs from 1 beyond {cls.TRACE_TOL}")
         return state

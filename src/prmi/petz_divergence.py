@@ -80,5 +80,5 @@ def _rho_alpha_tensor(rho_ab: BipartiteState, alpha: float, cut: SupportCutoff) 
     kernel zeroed and V^dag formed once per state (``BipartiteState._setup``).
     """
     setup = rho_ab._setup(cut)
-    ra = (rho_ab.spectrum[1] * setup.w_cut**alpha) @ setup.vh
+    ra = np.dot(rho_ab.spectrum[1] * setup.w_cut**alpha, setup.vh)
     return ra.reshape(rho_ab.d_a, rho_ab.d_b, rho_ab.d_a, rho_ab.d_b)

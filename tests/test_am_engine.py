@@ -30,7 +30,9 @@ from prmi import (
     algorithm1,
     algorithm2,
     algorithm_classical,
+    cc_embed,
     cross_ratio_diameter,
+    d_alpha,
     d_h,
     linear_constants,
     random_density,
@@ -49,6 +51,7 @@ from references import (
     contraction_probe,
     partial_min_sigma,
     partial_min_tau,
+    product_operator,
     projective_diameter_from_vectors,
 )
 
@@ -603,8 +606,8 @@ class TestSolvePathCost:
         trace = algorithm1(rho, AmConfig(alpha=2.0, eps0=1e-10))
         n = trace.iterations
         assert trace.terminated_by == "certificate" and n >= 3
-        # first half-step and lambda_A; two half-steps and one step distance per step
-        assert calls == {"eigh": 2 + 2 * n, "eigvalsh": n}
+        # first half-step; two half-steps per step; lambda_A and one step distance per step
+        assert calls == {"eigh": 1 + 2 * n, "eigvalsh": n + 1}
 
     def test_algorithm2_decompositions(self, rng, monkeypatch):
         rho = random_state(2, 3, rng)
@@ -613,8 +616,8 @@ class TestSolvePathCost:
         trace = algorithm2(rho, AmConfig(alpha=0.75, eps0=1e-6))
         n = trace.iterations
         assert trace.terminated_by == "certificate" and n >= 3
-        # first half-step, lambda_A and lambda_B; two half-steps per step
-        assert calls == {"eigh": 3 + 2 * n}
+        # first half-step and two half-steps per step; lambda_A and lambda_B
+        assert calls == {"eigh": 1 + 2 * n, "eigvalsh": 2}
 
     SOLVES = {
         "algorithm1": lambda rng: algorithm1(random_state(2, 3, rng), AmConfig(alpha=1.5)),
@@ -666,6 +669,55 @@ class TestSolvePathCost:
         (run,) = runs
         for op, pmf in ((trace.final_sigma_a, run.q_x), (trace.final_tau_b, run.r_y)):
             assert op.entries.tobytes() == HermitianOperator.diagonal(pmf).entries.tobytes()
+
+
+DESK_FAMILIES = {
+    "full rank": lambda rng: random_state(2, 3, rng),
+    "rank deficient": lambda rng: BipartiteState.from_operator(random_density(9, rng, rank=5), 3, 3),
+    "mc + 1e-10 Ginibre": lambda rng: near_singular(3, 1e-10, rng),
+    "maximally correlated": lambda rng: maximally_correlated(3),
+    "product": lambda rng: random_product_state(2, 3, rng),
+}
+
+
+def _close(a: HermitianOperator, b: HermitianOperator) -> bool:
+    return a.entries.shape == b.entries.shape and np.max(np.abs(a.entries - b.entries)) <= 1e-10
+
+
+class TestWholeRunsMatchTheReference:
+    """Certified desk-scale runs, every iterate, against the einsum partial minimizers.
+
+    The reference iterates sigma_{n+1} = partial_min_sigma(tau_n) from the
+    restricted marginal, tau_n = partial_min_tau(sigma_n), and reads x_n as
+    the divergence at sigma_n (x) tau_n; a PMF run is held to the quantum run
+    on its diagonal embedding.
+    """
+
+    @pytest.mark.parametrize("alpha", [0.6, 1.25, 2.0])
+    @pytest.mark.parametrize("family", sorted(DESK_FAMILIES))
+    def test_quantum(self, rng, family, alpha):
+        rho = DESK_FAMILIES[family](rng)
+        solve = algorithm1 if alpha > 1 else algorithm2
+        trace = solve(rho, AmConfig(alpha=alpha, eps0=1e-6 if alpha > 1 else 1e-4))
+        assert trace.terminated_by == "certificate"
+        sigma = restrict_initializer(rho.marginal_a(), rho.marginal_a())
+        for n, x in enumerate(trace.x_values):
+            if n:
+                sigma = partial_min_sigma(rho, tau, alpha)
+            tau = partial_min_tau(rho, sigma, alpha)
+            assert abs(x - d_alpha(rho.op, product_operator(sigma, tau), alpha)) <= 1e-10
+        assert _close(trace.final_sigma_a, sigma)
+        assert _close(trace.final_tau_b, tau)
+
+    @pytest.mark.parametrize("alpha", [0.6, 1.25, 2.0, 4.0])
+    def test_pmf(self, rng, alpha):
+        p = random_pmf((3, 3), rng)
+        trace = algorithm_classical(p, AmConfig(alpha=alpha, eps0=1e-6 if alpha > 1 else 1e-4))
+        assert trace.terminated_by == "certificate"
+        quantum = run_uncertified(cc_embed(p), AmConfig(alpha=alpha), trace.iterations)
+        assert np.max(np.abs(trace.x_values - quantum.x_values)) <= 1e-10
+        assert _close(trace.final_sigma_a, quantum.final_sigma_a)
+        assert _close(trace.final_tau_b, quantum.final_tau_b)
 
 
 class TestStepperStartsHalfStepped:
@@ -908,6 +960,13 @@ class TestStepDistance:
         assert math.isfinite(run.step_distance())
         run.prev_q = np.array([0.5, 0.5, 0.0])
         assert run.step_distance() == math.inf
+
+    def test_classical_shared_zero_is_masked(self, rng, recwarn):
+        p = random_pmf((3, 3), rng)
+        run = _ClassicalRun(p, 2.0, DEFAULT_CUT, p.sum(axis=1))
+        run.prev_q, run.q_x = np.array([0.5, 0.5, 0.0]), np.array([0.4, 0.6, 0.0])
+        assert run.step_distance() == pytest.approx(math.log(1.5) + step_floor(2.0, 6, 1.0), rel=1e-15)
+        assert not recwarn.list
 
 
 class TestLinearCertificate:

@@ -23,6 +23,7 @@ from prmi import (
     grid_min_classical,
     n_x_to_y,
     n_y_to_x,
+    random_density,
     run_uncertified,
     run_uncertified_classical,
     sublinear_constants,
@@ -236,6 +237,30 @@ class TestClassicalAlgorithm:
         for run in (algorithm_classical, lambda p, c: run_uncertified_classical(p, c, 3)):
             with pytest.raises(ValueError, match="dim 3, expected 2"):
                 run(np.array([[0.4, 0.1], [0.1, 0.4]]), config)
+
+    @pytest.mark.parametrize("alpha", [0.75, 2.0])
+    def test_non_diagonal_explicit_initializer_rejected(self, alpha):
+        # The pinched diagonal started at x_0 = 0.2821 (alpha 2: 0.4468), where
+        # the quantum run on cc_embed(P) from the same sigma0 starts at 0.5683 (1.3705).
+        rng = np.random.default_rng(0)
+        p = rng.random((2, 3))
+        p /= p.sum()
+        sigma0 = random_density(2, rng)
+        config = AmConfig(alpha=alpha, init="explicit", sigma0=sigma0)
+        with pytest.raises(ValueError, match="must be diagonal"):
+            run_uncertified_classical(p, config, 1)
+        with pytest.raises(ValueError, match="must be diagonal"):
+            algorithm_classical(p, config)
+        # Rounding-level off-diagonal entries leave the diagonal as the start.
+        almost = HermitianOperator.from_entries(np.diag([0.3, 0.7]) + 1e-14 * np.array([[0, 1], [1, 0]]))
+        exact = HermitianOperator.diagonal([0.3, 0.7])
+        xs = [
+            run_uncertified_classical(p, AmConfig(alpha=alpha, init="explicit", sigma0=s), 3).x_values
+            for s in (almost, exact)
+        ]
+        assert np.array_equal(xs[0], xs[1])
+        embedded = run_uncertified(cc_embed(p), AmConfig(alpha=alpha, init="explicit", sigma0=exact), 3)
+        assert np.max(np.abs(xs[1] - embedded.x_values)) <= 1e-10
 
     def test_constants_read_the_marginal_support(self):
         # lambda_A is the smallest nonzero row sum of P^alpha, 1.29e-16 at

@@ -344,6 +344,21 @@ class TestMain:
         assert main(argv + ["--alpha", "1.5", "--trace-out", str(tmp_path / "t.json")]) == EXIT_INVALID
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "cell", [{"re": True, "im": False}, {"re": 1, "im": True}, {"re": "1"}, {"re": None}],
+        ids=["re true", "im true", "re string", "re null"],
+    )
+    def test_non_numeric_entry_exit_two(self, tmp_path, capsys, cell):
+        """Entry parts are JSON numbers: true/false once parsed as 1+0j, and this state certified."""
+        doc = {"d_a": 1, "d_b": 2, "matrix": [[cell, {"re": 0}], [{"re": 0}, {"re": False}]]}
+        bad = tmp_path / "bool.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "t.json"
+        assert main([str(bad), "--alpha", "1.5", "--trace-out", str(out)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: matrix entries must be objects with 're'/'im': ")
+        assert err.count("\n") == 1 and not out.exists()
+
     @pytest.mark.parametrize("role", ["state", "init"])
     def test_infinite_entry_named_finiteness(self, correlated_file, tmp_path, capsys, role):
         text = correlated_file.read_text()

@@ -52,6 +52,30 @@ class TestHermitianOperator:
         with pytest.raises(ValueError):
             op.entries[0, 0] = 2.0
 
+    @pytest.mark.parametrize("bad", [np.inf, complex(0.0, -np.inf)])
+    def test_infinite_entry_named(self, bad):
+        mat = np.eye(3, dtype=complex)
+        mat[1, 1] = bad
+        with pytest.raises(InvalidOperator, match="non-finite"):
+            HermitianOperator.from_entries(mat)
+
+    def test_entry_whose_modulus_overflows_rejected(self):
+        # Finite parts whose modulus overflows: (mat + mat^dag)/2 would not be finite.
+        entry = 1.5e308 + 1.5e308j
+        mat = np.array([[1.0, entry], [np.conj(entry), 1.0]])
+        with pytest.raises(InvalidOperator, match="non-finite"):
+            HermitianOperator.from_entries(mat)
+
+    @pytest.mark.parametrize("build", ["from_entries", "_wrap"])
+    def test_symmetrized_copy(self, rng, build):
+        g = rng.standard_normal((3, 3))
+        mat = g + g.T + 1e-14 * rng.standard_normal((3, 3))
+        op = getattr(HermitianOperator, build)(mat)
+        assert op.entries.dtype == np.complex128 and not op.entries.flags.writeable
+        assert np.array_equal(op.entries, ((mat + mat.T) / 2.0).astype(np.complex128))
+        mat[0, 0] = 7.0  # the operator does not share the caller's array
+        assert op.entries[0, 0] != 7.0
+
 
 class TestEig:
     def test_identity(self):
@@ -242,6 +266,17 @@ class TestSupportPairs:
     def test_zero_matrix_gives_empty_arrays(self):
         w, v = support_pairs(*np.linalg.eigh(np.zeros((2, 2))), SupportCutoff())
         assert w.shape == (0,) and v.shape == (2, 0)
+
+    @pytest.mark.parametrize(
+        "diag, rel_tol", [([0.2, 0.5, 0.3], 1e-12), ([1e-5, 0.5, 0.3], 1e-3), ([0.0, 0.0, 0.0], 1e-12)]
+    )
+    def test_eigenvalues_alone(self, diag, rel_tol):
+        w, v = np.linalg.eigh(np.diag(diag))
+        cut = SupportCutoff(rel_tol)
+        w2, v2 = support_pairs(w, None, cut)
+        assert v2 is None and np.array_equal(w2, support_pairs(w, v, cut)[0])
+        with pytest.raises(InvalidOperator, match="PSD"):
+            support_pairs(np.array([-1e-3, 1.0]), None, cut)
 
 
 class TestSupportRelation:
