@@ -52,19 +52,21 @@ rounding allowance.
 Every run, quantum or classical, certified or not, goes through one body,
 ``_solve``, which the five iterating entry points call with their stepper
 (``_AmRun`` here, ``classical_rmi._ClassicalRun`` for PMFs).  It takes, in
-this order, the stepper's initializer (``initial``, which reads the
-initializer kind through ``_initializer``), the order's certificate, the
+this order, the stepper's initializer (``initial``, which reads
+``AmConfig.init`` through ``_initializer``), the order's certificate, the
 stepper, built half-stepped, and the one loop, ``_drive``.  ``_drive`` takes
 the stepper and a certificate ``eps_at(n, x_prev, x)`` (the linear
 recursion, the sublinear bound, or none), records each iterate and decides
 why the run stopped.  Only the linear certificate calls ``step_distance``.
 The constants of both certificates come from ``_linear_start`` and
 ``_sublinear_start``, which read them off a stepper of either kind through
-``sigma0_min``, ``lambda_a()``, ``lambda_b()`` and ``q``.  Which order has
-which certificate is stated once, in ``_certificate``: linear on
-(1, ``linear_max``] of the stepper (2 for ``_AmRun``, every order above one
-for the classical stepper), sublinear on (1/2, 1), and ``NoCertificate``
-elsewhere.  Solves, ``algorithm1``/``algorithm2``'s choice of side, and the
+``sigma0_min``, ``lambda_a()``, ``lambda_b()`` and ``q``; the constants
+functions set that stepper up as a solve does, from an ``AmConfig`` whose
+``init`` is their initializer, so ``initial`` is the one code that resolves
+an initializer.  Which order has which certificate is stated once, in
+``_certificate``: linear on (1, ``linear_max``] of the stepper (2 for
+``_AmRun``, every order above one for the classical stepper), sublinear on
+(1/2, 1), and ``NoCertificate`` elsewhere.  Solves, ``algorithm1``/``algorithm2``'s choice of side, and the
 constants all ask it, from the stepper's class and before a run is set up,
 so an order without a certificate costs no set-up.  The engine imports no
 reference of its own: the einsum partial minimizers and the sampled
@@ -89,9 +91,10 @@ ranks of rho_A and rho_B, the A marginal's support pairs normalized,
 (w_s/sum w_s, V_s), and rho's spectrum with its kernel zeroed, next to the
 conjugate factor V^dag.  Every order of a sweep reads it.  ``_AmRun.initial``
 returns its pairs as the marginal initializer, which so costs nothing, and
-compresses a uniform or explicit initializer to span V_s at r x r (r its
-rank), factored once and rotated back.  ``_AmRun`` takes its ranks, and
-``_rho_alpha_tensor``, the one builder of rho^alpha, its spectrum and V^dag.
+compresses the uniform initializer or a given operator to span V_s at
+r x r (r its rank), factored once and rotated back.  ``_AmRun`` takes its
+ranks, and ``_rho_alpha_tensor``, the one builder of rho^alpha, its
+spectrum and V^dag.
 Per order there remains rho^alpha itself, the contraction matrix and the
 certificate's constants.
 
@@ -126,7 +129,7 @@ list of Python floats.  Where an order's powers leave float64 a run raises
 cannot decompose is tested for finiteness on that failure path only, so a
 step makes no extra numpy call; ``_linear_start`` checks that c_A has not
 underflowed to 0, and the classical stepper that P^alpha has not
-underflowed at every entry.
+underflowed to 0 at any entry of P's support.
 """
 
 from __future__ import annotations
@@ -172,20 +175,20 @@ class NoCertificate(ValueError):
 TERMINATED_CERTIFICATE = "certificate"
 TERMINATED_MAX_ITER = "max_iter"
 
-_INIT_CHOICES = ("marginal", "uniform", "explicit")
-
 _EPS = float(np.finfo(np.float64).eps)
 _NO_CUT = SupportCutoff(0.0)
 
 
 @dataclass(frozen=True)
 class AmConfig:
-    """Run parameters: order, target accuracy, initializer (``sigma0`` iff 'explicit'), caps."""
+    """Run parameters: order, target accuracy, initializer, caps.
+
+    ``init`` is "marginal", "uniform" or the initializer operator itself.
+    """
 
     alpha: float
     eps0: float = 1e-6
-    init: str = "marginal"
-    sigma0: HermitianOperator | None = None
+    init: str | HermitianOperator = "marginal"
     max_iter: int = 100_000
     cut: SupportCutoff = DEFAULT_CUT
     record_states: bool = False
@@ -194,28 +197,27 @@ class AmConfig:
         _check_alpha(self.alpha)
         if not self.eps0 > 0:
             raise ValueError(f"eps0 must be positive, got {self.eps0}")
-        if self.init not in _INIT_CHOICES:
-            raise ValueError(f"init must be one of {_INIT_CHOICES}, got {self.init!r}")
-        if self.init == "explicit" and self.sigma0 is None:
-            raise ValueError("init='explicit' requires sigma0")
-        if self.init != "explicit" and self.sigma0 is not None:
-            raise ValueError(f"sigma0 is read only with init='explicit', got init={self.init!r}")
+        named = isinstance(self.init, str) and self.init in ("marginal", "uniform")
+        if not (named or isinstance(self.init, HermitianOperator)):
+            raise ValueError(
+                f"init must be 'marginal', 'uniform' or a HermitianOperator, got {self.init!r}"
+            )
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
 
-def _initializer(config: AmConfig, dim: int) -> HermitianOperator | None:
-    """The initializer both steppers read off ``config`` for a ``dim``-dimensional factor.
+def _initializer(init: str | HermitianOperator, dim: int) -> HermitianOperator | None:
+    """The initializer both steppers read off ``AmConfig.init`` for a ``dim``-dimensional factor.
 
     None stands for the marginal, which each stepper starts from what it holds.
     """
-    if config.init == "marginal":
+    if init == "marginal":
         return None
-    if config.init == "uniform":
+    if init == "uniform":
         return HermitianOperator._wrap(np.eye(dim) / dim)
-    if config.sigma0.dim != dim:
-        raise ValueError(f"sigma0 has dim {config.sigma0.dim}, expected {dim}")
-    return config.sigma0
+    if init.dim != dim:
+        raise ValueError(f"sigma0 has dim {init.dim}, expected {dim}")
+    return init
 
 
 @dataclass(frozen=True)
@@ -355,7 +357,7 @@ class _AmRun:
         read off the state's set-up at the cutoff, so that initializer costs
         nothing once the state has been solved at that cutoff.
         """
-        raw = _initializer(config, rho_ab.d_a)
+        raw = _initializer(config.init, rho_ab.d_a)
         if raw is None:
             return rho_ab._setup(config.cut).marginal
         return _restricted_pairs(rho_ab, raw, config.cut)
@@ -512,10 +514,11 @@ def _sublinear_start(run) -> SublinearConstants:
 _STARTS = {"linear": _linear_start, "sublinear": _sublinear_start}
 
 
-def _constants(stepper: type, kind: str, data, alpha: float, cut: SupportCutoff, init):
-    """``kind``'s constants off a fresh stepper; as in a solve, ``init`` comes before the rule."""
-    _certificate(stepper, alpha, kind)
-    return _STARTS[kind](stepper(data, alpha, cut, init))
+def _constants(stepper: type, kind: str, data, config: AmConfig):
+    """``kind``'s constants off a fresh stepper, set up as a solve sets one up."""
+    init = stepper.initial(data, config)
+    _certificate(stepper, config.alpha, kind)
+    return _STARTS[kind](stepper(data, config.alpha, config.cut, init))
 
 
 def linear_constants(
@@ -533,7 +536,7 @@ def linear_constants(
     the projective distance from the initializer to the minimizer.  Orders
     without the linear certificate raise :class:`NoCertificate`.
     """
-    return _constants(_AmRun, "linear", rho_ab, alpha, cut, _restricted_pairs(rho_ab, sigma0, cut))
+    return _constants(_AmRun, "linear", rho_ab, AmConfig(alpha, init=sigma0, cut=cut))
 
 
 def sublinear_constants(
@@ -546,8 +549,7 @@ def sublinear_constants(
 
     Orders without the sublinear certificate raise :class:`NoCertificate`.
     """
-    pairs = _restricted_pairs(rho_ab, sigma0, cut)
-    return _constants(_AmRun, "sublinear", rho_ab, alpha, cut, pairs)
+    return _constants(_AmRun, "sublinear", rho_ab, AmConfig(alpha, init=sigma0, cut=cut))
 
 
 def step_floor(alpha: float, dims: int, kappa: float) -> float:
@@ -741,8 +743,7 @@ def spectrum_floors(
     on 21 seeded 2x2-3x3 states (full-rank, near-singular, rank 2-5) at
     alpha 2.5, 3, 4, 6 and 8, none of 3255 iterate spectra fell below them.
     """
-    _check_alpha(alpha)
-    pairs = _restricted_pairs(rho_ab, sigma0, cut)
+    pairs = _AmRun.initial(rho_ab, AmConfig(alpha, init=sigma0, cut=cut))
     if not (alpha > 1.0 or 0.5 < alpha < 1.0):
         raise ValueError(f"spectrum floors require alpha in (1/2, 1) or (1, inf), got {alpha}")
     run = _AmRun(rho_ab, alpha, cut, pairs)

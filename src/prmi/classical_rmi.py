@@ -12,14 +12,17 @@ stepper on the diagonal state ``cc_embed(P)``, so the quantum certificates
 hold for it as they stand.  The two solves hand it to ``am_engine._solve``,
 the body of every iterating entry point, which takes its initializer
 (``_ClassicalRun.initial``), asks the order rule, builds it and drives it;
-``classical_linear_constants`` reads its constants through
-``am_engine._constants``.  The support cutoff acts at set-up, on P and on
-the initial q, and each half-step keeps the supports of the marginals fixed
-there, which is what the iteration preserves in exact arithmetic.  So the
-stepper compresses P^alpha to that support block once and carries q and r
-on it: a half-step is one gemv with the dense block and two plain powers,
-with no mask, and the full-length PMFs are built only when an operator or a
-map's output is asked for.  Above order one a zero on the support raises
+``classical_linear_constants`` wraps its weights as the diagonal operator a
+classical ``AmConfig.init`` takes, so ``am_engine._constants`` resolves them
+through the same ``initial``.  The support cutoff acts at set-up, on P and
+on the initial q, and each half-step keeps the supports of the marginals
+fixed there, the rows and columns of P's support, which is what the
+iteration preserves in exact arithmetic.  So the stepper compresses P^alpha
+to that support block once and carries q and r on it: a half-step is one
+gemv with the dense block and two plain powers, with no mask, and the
+full-length PMFs are built only when an operator or a map's output is asked
+for.  A supported entry of P whose power underflows to 0 raises
+``FloatingPointError``.  Above order one a zero on the support raises
 ``DomainViolation``, as the quantum stepper does when a half-step loses a
 support direction; below it a zero weighs zero.  The linear certificate
 holds at every order above one (``_ClassicalRun.linear_max``).
@@ -110,12 +113,6 @@ class JointPmf:
     @property
     def shape(self) -> tuple[int, int]:
         return self.weights.shape
-
-    def marginal_x(self) -> Pmf:
-        return Pmf.from_weights(self.weights.sum(axis=1))
-
-    def marginal_y(self) -> Pmf:
-        return Pmf.from_weights(self.weights.sum(axis=0))
 
 
 def _as_array(p) -> np.ndarray:
@@ -262,10 +259,13 @@ class _ClassicalRun:
 
     The cutoff acts once, at set-up: on P before the power alpha and on the
     initial q (the support eigenvalues of rho and of sigma0).  The supports
-    of the two marginals are fixed there too, as the nonzero row and column
-    sums of P^alpha, and P^alpha is compressed to that dense block once.  q
-    and r (``q_x``, ``r_y``) live on the block; full-length vectors are
-    built only on request (``operators``).  Each half-step is then one gemv
+    of the two marginals are fixed there too, as the rows and columns of P
+    with a supported entry, before the power, and P^alpha is compressed to
+    that dense block once.  A supported entry whose power underflows to 0
+    raises ``FloatingPointError``: the point would leave the support
+    unannounced, and the run would solve another PMF.  q and r (``q_x``,
+    ``r_y``) live on the block; full-length vectors are built only on
+    request (``operators``).  Each half-step is then one gemv
     with the block and plain powers.  Its weights w are powered 1/alpha with
     no mask: above order one a zero in w leaves the domain and raises
     ``DomainViolation``, as ``_AmRun._keep`` does, and below it a zero
@@ -284,7 +284,7 @@ class _ClassicalRun:
     def initial(P: np.ndarray, config: AmConfig) -> np.ndarray:
         """The restricted initial q: the X marginal p_x, or ``config``'s initializer's diagonal."""
         p_x = P.sum(axis=1)
-        raw = _initializer(config, p_x.size)
+        raw = _initializer(config.init, p_x.size)
         return _restrict_pmf(p_x if raw is None else _diagonal(raw), p_x, config.cut)
 
     def __init__(self, P: np.ndarray, alpha: float, cut: SupportCutoff, q0: np.ndarray) -> None:
@@ -294,11 +294,15 @@ class _ClassicalRun:
         self._inv = 1.0 / alpha
         self._x_scale = alpha / (alpha - 1.0)
         self._dims = P.shape[0] + P.shape[1]
-        wa = _pow_on(P, support_mask(P, cut), alpha)
-        self.supp_x, self.supp_y = wa.sum(axis=1) > 0, wa.sum(axis=0) > 0
+        supp = support_mask(P, cut)
+        self.supp_x, self.supp_y = supp.any(axis=1), supp.any(axis=0)
+        wa = _pow_on(P, supp, alpha)
+        lost = np.count_nonzero(supp) - np.count_nonzero(wa)
+        if lost:
+            raise _out_of_range(
+                f"P^alpha underflows to 0 at {lost} of {np.count_nonzero(supp)} supported entries"
+            )
         self.block = wa.compress(self.supp_x, axis=0).compress(self.supp_y, axis=1)
-        if not self.block.size:
-            raise _out_of_range("P^alpha underflows to 0 at every entry")
         q = np.where(support_mask(q0, cut), q0, 0.0)
         self.sigma0_min = float(q[q > 0].min())
         self.q_x = q[self.supp_x]
@@ -378,9 +382,8 @@ def classical_linear_constants(p_xy, q0_pmf, alpha: float) -> LinearConstants:
 
     Orders without the linear certificate raise ``NoCertificate``.
     """
-    P = _validated_joint(p_xy)
-    q0 = _restrict_pmf(_as_array(q0_pmf).ravel(), P.sum(axis=1), DEFAULT_CUT)
-    return _constants(_ClassicalRun, "linear", P, alpha, DEFAULT_CUT, q0)
+    q0 = HermitianOperator.diagonal(_as_array(q0_pmf).ravel())
+    return _constants(_ClassicalRun, "linear", _validated_joint(p_xy), AmConfig(alpha, init=q0))
 
 
 def algorithm_classical(p_xy, config: AmConfig) -> ConvergenceTrace:

@@ -275,12 +275,11 @@ def run(args: argparse.Namespace) -> int:
             return EXIT_INVALID
         first[out] = alpha
     classical = args.mode == "classical"
-    init, sigma0 = args.init, None
+    init = args.init
     try:
         cut = _support_cutoff()
         if init.startswith("file:"):
-            sigma0 = (load_init_pmf if classical else load_operator)(init[len("file:") :])
-            init = "explicit"
+            init = (load_init_pmf if classical else load_operator)(init[len("file:") :])
         data = load_pmf(args.input) if classical else load_state(args.input)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -290,12 +289,7 @@ def run(args: argparse.Namespace) -> int:
     for alpha, out in zip(args.alpha, outs):
         try:
             config = AmConfig(
-                alpha=alpha,
-                eps0=args.eps,
-                init=init,
-                sigma0=sigma0,
-                max_iter=args.max_iter,
-                cut=cut,
+                alpha=alpha, eps0=args.eps, init=init, max_iter=args.max_iter, cut=cut
             )
             with np.errstate(all="ignore"):
                 trace = _solve(data, config, args.uncertified)

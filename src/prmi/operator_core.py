@@ -41,6 +41,7 @@ from numpy.linalg import LinAlgError
 from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo, eigvalsh_lo as _eigvalsh_lo
 
 HERMITICITY_RTOL = 1e-12
+_HALF_MAX = float(np.finfo(np.float64).max) / 2.0
 
 
 class OperatorError(Exception):
@@ -109,20 +110,24 @@ class HermitianOperator:
         return self.entries.shape[0]
 
     @classmethod
-    def from_entries(cls, entries, *, rtol: float = HERMITICITY_RTOL) -> "HermitianOperator":
+    def from_entries(cls, entries) -> "HermitianOperator":
         mat = np.asarray(entries, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise InvalidOperator(f"expected a square matrix, got shape {mat.shape}")
-        # A NaN or an inf shows in the largest modulus, and so does a part too
-        # large for the symmetrized entries to stay finite (a modulus that overflows).
+        # A NaN or an inf shows in the largest modulus; a modulus up to half the
+        # float64 maximum keeps every part of mat + mat^dag finite.
         scale = float(np.abs(mat).max())
-        if not math.isfinite(scale):
-            raise InvalidOperator("entries contain non-finite values")
+        if not scale <= _HALF_MAX:
+            why = "entries contain non-finite values"
+            if math.isfinite(scale):
+                why += f" once symmetrized: largest modulus {scale:.3e} > half the float64 maximum"
+            raise InvalidOperator(why)
         adjoint = mat.conj().T
         asym = float(np.abs(mat - adjoint).max())
-        if asym > rtol * max(scale, 1e-300):
+        if asym > HERMITICITY_RTOL * max(scale, 1e-300):
             raise InvalidOperator(
-                f"matrix is not self-adjoint: asymmetry {asym:.3e} exceeds {rtol:.1e} * {scale:.3e}"
+                f"matrix is not self-adjoint: asymmetry {asym:.3e} exceeds "
+                f"{HERMITICITY_RTOL:.1e} * {scale:.3e}"
             )
         return cls(_symmetrized(mat, adjoint))
 

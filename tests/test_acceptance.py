@@ -279,7 +279,7 @@ def test_criterion_11_invariant_suites():
             sigma0 = random_density(2, rng)
             c_a, c_b = spectrum_floors(rho, sigma0, alpha)
             trace = run_uncertified(
-                rho, AmConfig(alpha=alpha, init="explicit", sigma0=sigma0, record_states=True), 40
+                rho, AmConfig(alpha=alpha, init=sigma0, record_states=True), 40
             )
             for n, (sig, tau) in enumerate(zip(trace.sigma_states, trace.tau_states)):
                 if alpha < 1 or n >= 1:

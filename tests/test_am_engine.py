@@ -162,15 +162,17 @@ class TestStateSpectrumCache:
 def _setup_before_caching(rho_ab, config):
     """In-test copy of the restricted initializer's set-up by d x d projector products.
 
-    The initializer (the A marginal, uniform, or ``config.sigma0``) is
+    The initializer (the A marginal, uniform, or the operator ``config.init``) is
     compressed to the A-marginal support by projector products and
     renormalized, and the result is decomposed again at the cutoff; the
     marginal spectrum is not cached and nothing is compressed at r x r.
     """
     rel_tol = config.cut.rel_tol
     rho_a = rho_ab.marginal_a().entries
-    raw = {"marginal": rho_a, "uniform": np.eye(rho_ab.d_a) / rho_ab.d_a}.get(config.init)
-    raw = config.sigma0.entries if raw is None else raw
+    if isinstance(config.init, HermitianOperator):
+        raw = config.init.entries
+    else:
+        raw = {"marginal": rho_a, "uniform": np.eye(rho_ab.d_a) / rho_ab.d_a}[config.init]
     w, v = np.linalg.eigh(rho_a)
     vs = v[:, w > rel_tol * max(w[-1], 0.0)]
     proj = vs @ vs.conj().T
@@ -234,18 +236,17 @@ class TestSetupOnce:
         for name, rho in _setup_states().items():
             sigma0 = random_density(rho.d_a, rng)
             for init, cut, (alpha, eps0, solve) in itertools.product(
-                ("uniform", "explicit"),
+                ("uniform", sigma0),
                 (DEFAULT_CUT, SupportCutoff(1e-3)),
                 [(1.5, 1e-8, algorithm1), (0.75, 1e-4, algorithm2), (3.0, 1e-6, run_uncertified)],
             ):
-                start = sigma0 if init == "explicit" else None
-                config = AmConfig(alpha=alpha, eps0=eps0, init=init, sigma0=start, cut=cut)
+                config = AmConfig(alpha=alpha, eps0=eps0, init=init, cut=cut)
                 args = (25,) if solve is run_uncertified else ()
                 now = solve(rho, config, *args)
                 with monkeypatch.context() as m:
                     m.setattr(_AmRun, "initial", staticmethod(_setup_before_caching))
                     before = solve(rho, config, *args)
-                label = (name, init, cut.rel_tol, alpha)
+                label = (name, init if init == "uniform" else "operator", cut.rel_tol, alpha)
                 assert now.terminated_by == before.terminated_by, label
                 assert now.iterations == before.iterations, label
                 assert np.max(np.abs(now.x_values - before.x_values)) <= 1e-10, label
@@ -255,7 +256,7 @@ class TestSetupOnce:
         traces = []
         for scale in (1.0, 1e-6, 1e-13):
             sigma0 = HermitianOperator.diagonal([scale * 0.3, scale * 0.7])
-            traces.append(algorithm1(rho, AmConfig(alpha=1.5, init="explicit", sigma0=sigma0)))
+            traces.append(algorithm1(rho, AmConfig(alpha=1.5, init=sigma0)))
         for trace in traces[1:]:
             assert trace.iterations == traces[0].iterations
             assert np.max(np.abs(trace.x_values - traces[0].x_values)) <= 1e-12
@@ -460,9 +461,7 @@ class TestConstants:
         rho = random_state(2, 2, rng)
         sigma0 = random_density(2, rng)
         consts = linear_constants(rho, sigma0, 1.5)
-        trace = run_uncertified(
-            rho, AmConfig(alpha=1.5, init="explicit", sigma0=sigma0), 200
-        )
+        trace = run_uncertified(rho, AmConfig(alpha=1.5, init=sigma0), 200)
         restricted = restrict_initializer(sigma0, rho.marginal_a())
         assert consts.c0 >= d_h(restricted, trace.final_sigma_a) - 1e-6
 
@@ -558,31 +557,81 @@ class TestCertificateRule:
     @pytest.mark.parametrize("solve", sorted(SOLVES))
     def test_initializer_is_checked_before_the_order(self, rng, solve):
         # alpha = 3 has no quantum certificate and algorithm2's is not linear.
-        config = AmConfig(alpha=3.0, init="explicit", sigma0=random_density(3, rng))
+        config = AmConfig(alpha=3.0, init=random_density(3, rng))
         with pytest.raises(ValueError, match="sigma0 has dim 3, expected 2"):
             self.SOLVES[solve](random_state(2, 2, rng), random_pmf((2, 3), rng), config)
 
 
 class TestConfigInitializer:
-    """``AmConfig`` reads ``sigma0`` only with ``init='explicit'``, and rejects it elsewhere."""
+    """``AmConfig.init`` is "marginal", "uniform" or the initializer operator itself."""
 
     SKEWED = HermitianOperator.diagonal([0.999, 0.001])
 
-    @pytest.mark.parametrize("init", ["marginal", "uniform"])
-    def test_sigma0_without_explicit_init_rejected(self, init):
-        with pytest.raises(ValueError, match="sigma0 is read only with init='explicit'"):
-            AmConfig(alpha=1.5, init=init, sigma0=self.SKEWED)
-
-    def test_explicit_init_requires_sigma0(self):
-        with pytest.raises(ValueError, match="init='explicit' requires sigma0"):
-            AmConfig(alpha=1.5, init="explicit")
+    def test_init_is_a_name_or_an_operator(self):
+        # The former sentinel and a bare array are neither.
+        for init in ("explicit", np.diag([0.999, 0.001])):
+            with pytest.raises(ValueError, match="init must be 'marginal', 'uniform' or a"):
+                AmConfig(alpha=1.5, init=init)
 
     def test_explicit_sigma0_is_the_start(self):
         rho = random_state(2, 2, np.random.default_rng(0))
         default = run_uncertified(rho, AmConfig(alpha=1.5), 1)
-        skewed = run_uncertified(rho, AmConfig(alpha=1.5, init="explicit", sigma0=self.SKEWED), 1)
+        skewed = run_uncertified(rho, AmConfig(alpha=1.5, init=self.SKEWED), 1)
         assert default.x_values[0] == pytest.approx(0.2561, abs=1e-4)
         assert skewed.x_values[0] == pytest.approx(5.7187, abs=1e-4)
+
+
+class TestOneInitializerPath:
+    """Every solve and constants function resolves its initializer through a stepper's ``initial``.
+
+    Solves take it from their ``AmConfig``, the constants functions build one
+    around their initializer argument; either way ``_AmRun.initial`` or
+    ``_ClassicalRun.initial`` runs exactly once, and the other never.
+    """
+
+    ENTRY_POINTS = {
+        "algorithm1": (_AmRun, lambda rho, p: algorithm1(rho, AmConfig(alpha=1.5))),
+        "algorithm2": (_AmRun, lambda rho, p: algorithm2(rho, AmConfig(alpha=0.75, eps0=1e-4))),
+        "run_uncertified": (_AmRun, lambda rho, p: run_uncertified(rho, AmConfig(alpha=3.0), 2)),
+        "linear_constants": (_AmRun, lambda rho, p: linear_constants(rho, rho.marginal_a(), 1.5)),
+        "sublinear_constants": (
+            _AmRun,
+            lambda rho, p: sublinear_constants(rho, uniform_op(rho.d_a), 0.75),
+        ),
+        "spectrum_floors": (_AmRun, lambda rho, p: spectrum_floors(rho, rho.marginal_a(), 3.0)),
+        "algorithm_classical": (
+            _ClassicalRun,
+            lambda rho, p: algorithm_classical(p, AmConfig(alpha=1.5)),
+        ),
+        "run_uncertified_classical": (
+            _ClassicalRun,
+            lambda rho, p: run_uncertified_classical(p, AmConfig(alpha=0.6, init="uniform"), 2),
+        ),
+        "classical_linear_constants": (
+            _ClassicalRun,
+            lambda rho, p: classical_linear_constants(p, p.sum(axis=1), 1.5),
+        ),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_resolved_once_through_initial(self, entry, monkeypatch):
+        stepper, call = self.ENTRY_POINTS[entry]
+        calls = []
+
+        def counted(cls):
+            real = cls.initial
+
+            def initial(data, config):
+                calls.append(cls)
+                return real(data, config)
+
+            return staticmethod(initial)
+
+        for cls in (_AmRun, _ClassicalRun):
+            monkeypatch.setattr(cls, "initial", counted(cls))
+        rng = np.random.default_rng(5)
+        call(random_state(2, 3, rng), random_pmf((2, 3), rng))
+        assert calls == [stepper]
 
 
 def _spy_on_drive(monkeypatch, record):
@@ -856,7 +905,7 @@ class TestDescentAndFixedPoint:
         c_a, c_b = spectrum_floors(rho, sigma0, alpha)
         trace = run_uncertified(
             rho,
-            AmConfig(alpha=alpha, init="explicit", sigma0=sigma0, record_states=True),
+            AmConfig(alpha=alpha, init=sigma0, record_states=True),
             30,
         )
         for n, (sig, tau) in enumerate(zip(trace.sigma_states, trace.tau_states)):

@@ -58,7 +58,7 @@ class TestPmfTypes:
 
     def test_marginals(self):
         j = JointPmf.from_weights([[0.4, 0.1], [0.1, 0.4]])
-        assert np.allclose(j.marginal_x().weights, [0.5, 0.5])
+        assert np.allclose(j.weights.sum(axis=1), [0.5, 0.5])
 
 
 class TestClassicalDivergence:
@@ -225,7 +225,7 @@ class TestClassicalAlgorithm:
         traces = []
         for scale in (1.0, 1e-6, 1e-13):
             sigma0 = HermitianOperator.diagonal([scale * 0.3, scale * 0.7])
-            config = AmConfig(alpha=alpha, init="explicit", sigma0=sigma0)
+            config = AmConfig(alpha=alpha, init=sigma0)
             traces.append(algorithm_classical(p, config))
         for trace in traces[1:]:
             assert trace.iterations == traces[0].iterations
@@ -233,7 +233,7 @@ class TestClassicalAlgorithm:
 
     def test_explicit_initializer_of_wrong_length(self):
         sigma0 = HermitianOperator.diagonal([0.2, 0.3, 0.5])
-        config = AmConfig(alpha=1.5, init="explicit", sigma0=sigma0)
+        config = AmConfig(alpha=1.5, init=sigma0)
         for run in (algorithm_classical, lambda p, c: run_uncertified_classical(p, c, 3)):
             with pytest.raises(ValueError, match="dim 3, expected 2"):
                 run(np.array([[0.4, 0.1], [0.1, 0.4]]), config)
@@ -246,7 +246,7 @@ class TestClassicalAlgorithm:
         p = rng.random((2, 3))
         p /= p.sum()
         sigma0 = random_density(2, rng)
-        config = AmConfig(alpha=alpha, init="explicit", sigma0=sigma0)
+        config = AmConfig(alpha=alpha, init=sigma0)
         with pytest.raises(ValueError, match="must be diagonal"):
             run_uncertified_classical(p, config, 1)
         with pytest.raises(ValueError, match="must be diagonal"):
@@ -255,11 +255,11 @@ class TestClassicalAlgorithm:
         almost = HermitianOperator.from_entries(np.diag([0.3, 0.7]) + 1e-14 * np.array([[0, 1], [1, 0]]))
         exact = HermitianOperator.diagonal([0.3, 0.7])
         xs = [
-            run_uncertified_classical(p, AmConfig(alpha=alpha, init="explicit", sigma0=s), 3).x_values
+            run_uncertified_classical(p, AmConfig(alpha=alpha, init=s), 3).x_values
             for s in (almost, exact)
         ]
         assert np.array_equal(xs[0], xs[1])
-        embedded = run_uncertified(cc_embed(p), AmConfig(alpha=alpha, init="explicit", sigma0=exact), 3)
+        embedded = run_uncertified(cc_embed(p), AmConfig(alpha=alpha, init=exact), 3)
         assert np.max(np.abs(xs[1] - embedded.x_values)) <= 1e-10
 
     def test_constants_read_the_marginal_support(self):
@@ -287,7 +287,7 @@ class TestEmbeddingEquivalence:
             q0 = HermitianOperator.diagonal(p.sum(axis=1))
             classical = algorithm_classical(p, AmConfig(alpha=alpha, eps0=1e-4))
             quantum = algorithm2(
-                cc_embed(p), AmConfig(alpha=alpha, eps0=1e-4, init="explicit", sigma0=q0)
+                cc_embed(p), AmConfig(alpha=alpha, eps0=1e-4, init=q0)
             )
             assert classical.terminated_by == quantum.terminated_by == "certificate"
             assert classical.iterations == quantum.iterations
@@ -356,7 +356,7 @@ class TestBlockStepper:
         # embedding does the same.
         p = np.array([[0.5, 0.0], [0.0, 0.5]])
         sigma0 = HermitianOperator.diagonal([1.0, 0.0])
-        cfg = AmConfig(alpha=alpha, init="explicit", sigma0=sigma0)
+        cfg = AmConfig(alpha=alpha, init=sigma0)
         if alpha > 1:
             with pytest.raises(DomainViolation, match="kept 1 of its 2"):
                 run_uncertified_classical(p, cfg, 3)
@@ -368,6 +368,37 @@ class TestBlockStepper:
         assert np.array_equal(np.diag(classical.final_tau_b.entries).real, [1.0, 0.0])
         assert np.array_equal(np.diag(classical.final_sigma_a.entries).real, [1.0, 0.0])
         assert np.max(np.abs(classical.x_values - quantum.x_values)) <= 1e-12
+
+
+class TestSupportPowerUnderflow:
+    """The marginal supports are P's; a supported entry whose power underflows to 0 raises.
+
+    With the supports read off P^alpha instead, this PMF lost those entries
+    silently: runs certified 0.2927-0.2936 at orders 190-255 with one or two
+    points gone, and 0.161, -0.0043 and -0.166 at 260, 295 and 300.
+    """
+
+    @staticmethod
+    def _pmf():
+        w = np.random.default_rng(2).random((3, 3))
+        return w / w.sum()
+
+    @pytest.mark.parametrize("alpha, lost", [(190, 1), (260, 3), (300, 5)])
+    def test_underflow_raises(self, alpha, lost):
+        p = self._pmf()
+        cause = f"P\\^alpha underflows to 0 at {lost} of 9 supported entries"
+        with pytest.raises(FloatingPointError, match=cause):
+            algorithm_classical(p, AmConfig(alpha=alpha))
+        with pytest.raises(FloatingPointError, match=cause):
+            run_uncertified_classical(p, AmConfig(alpha=alpha), 1)
+        with pytest.raises(FloatingPointError, match=cause):
+            classical_linear_constants(p, p.sum(axis=1), alpha)
+
+    @pytest.mark.parametrize("alpha, x", [(100, 0.2895), (150, 0.2918)])
+    def test_orders_in_range_still_certify(self, alpha, x):
+        trace = algorithm_classical(self._pmf(), AmConfig(alpha=alpha))
+        assert trace.terminated_by == "certificate"
+        assert trace.final_x == pytest.approx(x, abs=1e-4)
 
 
 class TestContractionClassical:

@@ -268,7 +268,7 @@ class TestMain:
         assert main(argv + ["--init", f"file:{init}"]) == EXIT_OK
         sigma0 = HermitianOperator.diagonal([0.3, 0.7])
         library = algorithm_classical(
-            np.array([[0.4, 0.1], [0.1, 0.4]]), AmConfig(alpha=1.5, init="explicit", sigma0=sigma0)
+            np.array([[0.4, 0.1], [0.1, 0.4]]), AmConfig(alpha=1.5, init=sigma0)
         )
         doc = json.loads(out.read_text())
         assert doc["final_x"] == library.final_x == 0.25928259793008457
@@ -368,6 +368,19 @@ class TestMain:
         argv = [str(correlated_file), "--init", f"file:{bad}"] if role == "init" else [str(bad)]
         assert main(argv + ["--alpha", "1.5", "--trace-out", str(tmp_path / "t.json")]) == EXIT_INVALID
         assert capsys.readouterr().err == "error: finiteness: entries contain non-finite values\n"
+
+    @pytest.mark.parametrize(
+        "entry", [{"re": 1.2e308}, {"re": 1e308, "im": 1e308}], ids=["real", "complex"]
+    )
+    def test_entry_too_large_to_symmetrize_named_finiteness(self, tmp_path, capsys, entry):
+        conj = {"re": entry["re"], "im": -entry.get("im", 0.0)}
+        doc = {"d_a": 1, "d_b": 2, "matrix": [[{"re": 1}, entry], [conj, {"re": 1}]]}
+        bad, out = tmp_path / "big.json", tmp_path / "t.json"
+        bad.write_text(json.dumps(doc))
+        assert main([str(bad), "--alpha", "1.5", "--trace-out", str(out)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: finiteness: entries contain non-finite values once symmetrized")
+        assert err.count("\n") == 1 and not out.exists()
 
     def test_non_square_initializer_is_a_parse_error(self, correlated_file, tmp_path, capsys):
         init = tmp_path / "init.json"
@@ -490,11 +503,13 @@ class TestOrdersPastFloat64:
     @pytest.mark.parametrize(
         "alpha, cause",
         [
-            # lambda_A, the smallest row sum of P^280, is 2e-303 and q0 2e22, so
-            # c_A = (lambda_A/q0)^(1/alpha) underflows and c0 = -2 log c_A is undefined.
-            ("280", "c_A = (lambda_A/q0)^(1/alpha) underflows to 0 (lambda_A = 2.190e-303"),
+            # The three smallest weights, 0.017 to 0.057, have 280th powers below
+            # the smallest subnormal float64: they would drop out of the support.
+            ("280", "P^alpha underflows to 0 at 3 of 9 supported entries"),
             # the largest weight is 0.25, and 0.25^1000 is below the smallest float64
-            ("1000", "P^alpha underflows to 0 at every entry"),
+            ("1000", "P^alpha underflows to 0 at 9 of 9 supported entries"),
+            # supports read off P^alpha certified x = 0.161 here, exit 0, without 3 points
+            ("260", "P^alpha underflows to 0 at 3 of 9 supported entries"),
         ],
     )
     def test_classical_underflow_named(self, tmp_path, capsys, alpha, cause):

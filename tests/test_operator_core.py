@@ -66,6 +66,19 @@ class TestHermitianOperator:
         with pytest.raises(InvalidOperator, match="non-finite"):
             HermitianOperator.from_entries(mat)
 
+    @pytest.mark.parametrize("entry", [1.2e308, 1e308 + 1e308j], ids=["real", "complex"])
+    def test_entry_too_large_to_symmetrize_rejected(self, entry):
+        # Finite entries above half the float64 maximum: (mat + mat^dag)/2 would
+        # give inf+nanj (real) or nan+nanj (complex) off the diagonal.
+        mat = np.array([[1.0, entry], [np.conj(entry), 1.0]])
+        with pytest.raises(InvalidOperator, match="non-finite values once symmetrized"):
+            HermitianOperator.from_entries(mat)
+
+    def test_half_the_float64_maximum_is_accepted(self):
+        half = float(np.finfo(np.float64).max) / 2.0
+        op = HermitianOperator.from_entries([[1.0, half], [half, 1.0]])
+        assert np.isfinite(op.entries).all() and op.entries[0, 1] == half
+
     @pytest.mark.parametrize("build", ["from_entries", "_wrap"])
     def test_symmetrized_copy(self, rng, build):
         g = rng.standard_normal((3, 3))

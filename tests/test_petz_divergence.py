@@ -17,7 +17,7 @@ from prmi import (
     schatten_norm,
     spectrum_floors,
 )
-from prmi.am_engine import _AmRun, _restricted_pairs
+from prmi.am_engine import _AmRun
 from prmi.petz_divergence import UNDERFLOW_Q, DomainViolation
 from references import (
     partial_min_sigma,
@@ -279,7 +279,7 @@ class TestPartialMinimizer:
         tau_hat = partial_min_tau(rho, sigma, alpha)
         direct = d_alpha(rho.op, product_operator(sigma, tau_hat), alpha)
         # The engine's half-step carries the minimized value in closed form.
-        run = _AmRun(rho, alpha, DEFAULT_CUT, _restricted_pairs(rho, sigma, DEFAULT_CUT))
+        run = _AmRun(rho, alpha, DEFAULT_CUT, _AmRun.initial(rho, AmConfig(alpha, init=sigma)))
         run.a_to_b()
         assert direct == pytest.approx(run.x, abs=1e-9)
 

@@ -10,6 +10,10 @@ belong in ``tests/references.py``.
 
 Every eigendecomposition in ``src/prmi`` goes through the kernel pair
 ``operator_core._eigh``/``_eigvalsh``, the one place that calls LAPACK.
+
+Every initializer is resolved by a stepper's ``initial``: only those read
+the restriction helpers, and ``_compress`` serves ``restrict_initializer``
+besides.
 """
 
 import ast
@@ -117,3 +121,38 @@ def _kernel_bypasses(path: Path) -> list[str]:
 def test_every_eigendecomposition_goes_through_the_kernel():
     bypasses = {p.name: _kernel_bypasses(p) for p in sorted(SRC.glob("*.py"))}
     assert {name: found for name, found in bypasses.items() if found} == {}
+
+
+class _Uses(ast.NodeVisitor):
+    """(name, qualified scope) of every name a module reads, e.g. ("_compress", "_AmRun.initial")."""
+
+    def __init__(self) -> None:
+        self.scope: list[str] = []
+        self.found: set[tuple[str, str]] = set()
+
+    def _visit_scope(self, node) -> None:
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_ClassDef = _visit_scope
+
+    def visit_Name(self, node: ast.Name) -> None:
+        if isinstance(node.ctx, ast.Load):
+            self.found.add((node.id, ".".join(self.scope)))
+
+
+def test_initializers_resolve_only_in_the_steppers():
+    helpers = {"_restricted_pairs", "_restrict_pmf", "_compress"}
+    readers = {name: set() for name in helpers}
+    for path in sorted(SRC.glob("*.py")):
+        uses = _Uses()
+        uses.visit(ast.parse(path.read_text()))
+        for name, scope in uses.found:
+            if name in helpers:
+                readers[name].add(f"{path.stem}.{scope}")
+    assert readers == {
+        "_restricted_pairs": {"am_engine._AmRun.initial"},
+        "_restrict_pmf": {"classical_rmi._ClassicalRun.initial"},
+        "_compress": {"am_engine._restricted_pairs", "am_engine.restrict_initializer"},
+    }
