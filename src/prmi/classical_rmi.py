@@ -232,15 +232,21 @@ def _diagonal(op: HermitianOperator) -> np.ndarray:
     The classical run is the quantum one on ``cc_embed(P)`` only from a
     diagonal initializer: the diagonal of any other is a different start, so
     an off-diagonal part above ``_DIAGONAL_TOL`` times the largest entry
-    raises ``ValueError``.
+    raises ``ValueError``.  So does a weight below -1e-8 times the largest
+    entry, or a NaN, as the quantum path's PSD guard rejects such a start.
     """
     diag = np.diag(op.entries)
+    scale = float(np.abs(op.entries).max())
     off = float(np.abs(op.entries - np.diag(diag)).max())
-    if off > _DIAGONAL_TOL * float(np.abs(op.entries).max()):
+    if off > _DIAGONAL_TOL * scale:
         raise ValueError(
             f"a classical initializer must be diagonal: off-diagonal entry of modulus {off:.3e}"
         )
-    return diag.real
+    weights = diag.real
+    lo = float(weights.min())
+    if not lo >= -1e-8 * scale:
+        raise ValueError(f"a classical initializer must be nonnegative: min weight {lo:.3e}")
+    return weights
 
 
 def _full(v: np.ndarray, supp: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ an order reports one error line, not a warning per operation.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -358,5 +359,18 @@ def main(argv: list[str] | None = None) -> int:
     return run(build_parser().parse_args(argv))
 
 
+def process_main() -> int:
+    """``main`` for a ``prmi`` process (``python -m prmi.cli``, the console script).
+
+    Its imports are done by now.  ``gc.freeze()`` moves every object they
+    made (numpy's and prmi's modules, functions and classes) out of the
+    collector's generations, so neither a collection during the run nor the
+    ones at interpreter exit walks them again.  ``main`` stays the in-process
+    API and freezes nothing.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(process_main())

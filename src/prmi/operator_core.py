@@ -142,7 +142,10 @@ class HermitianOperator:
 
     @classmethod
     def diagonal(cls, values) -> "HermitianOperator":
-        return cls(_readonly(np.diag(np.asarray(values, dtype=np.float64))))
+        w = np.asarray(values, dtype=np.float64)
+        if not np.isfinite(w).all():
+            raise InvalidOperator("entries contain non-finite values")
+        return cls(_readonly(np.diag(w)))
 
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
@@ -357,8 +360,14 @@ def support_relation(
 
 
 def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> HermitianOperator:
-    """Random density matrix from the Ginibre ensemble (full rank by default)."""
+    """Random density matrix from the Ginibre ensemble (full rank by default).
+
+    A ``rank`` above ``dim`` gives a full-rank state.  ``dim`` or ``rank``
+    below 1 raises ``ValueError`` before anything is drawn from ``rng``.
+    """
     r = dim if rank is None else rank
+    if dim < 1 or r < 1:
+        raise ValueError(f"a density needs dim >= 1 and rank >= 1, got dim={dim}, rank={r}")
     g = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
     m = g @ g.conj().T
     return HermitianOperator._wrap(m / np.trace(m).real)

@@ -18,6 +18,7 @@ import pytest
 import prmi
 import prmi._scan
 import prmi.cli
+import prmi.oracle  # loaded on first use; Tracer.install imports it
 from conftest import random_state
 
 LAYERS_PATH = Path(__file__).resolve().parents[1] / "bench" / "layers.py"

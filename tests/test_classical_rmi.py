@@ -262,6 +262,40 @@ class TestClassicalAlgorithm:
         embedded = run_uncertified(cc_embed(p), AmConfig(alpha=alpha, init=exact), 3)
         assert np.max(np.abs(xs[1] - embedded.x_values)) <= 1e-10
 
+    def test_negative_initializer_weight_rejected(self):
+        # It started at x_0 = -2.48 and certified; the constants read c0 = 0.019
+        # off the weight 1.5, as if -0.5 were not there.
+        p = np.array([[0.4, 0.1], [0.1, 0.4]])
+        sigma0 = HermitianOperator.diagonal([-0.5, 1.5])
+        with pytest.raises(ValueError, match="must be nonnegative: min weight -5.000e-01"):
+            algorithm_classical(p, AmConfig(alpha=1.5, init=sigma0))
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            run_uncertified_classical(p, AmConfig(alpha=0.75, init=sigma0), 1)
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            classical_linear_constants(p, np.array([-0.5, 1.5]), 1.5)
+
+    def test_nan_initializer_weight_rejected(self):
+        # ``HermitianOperator.diagonal`` refuses a NaN, so build past it: the
+        # run failed on an empty support (``zero-size array to reduction``).
+        p = np.array([[0.4, 0.1], [0.1, 0.4]])
+        sigma0 = HermitianOperator(np.diag([np.nan, 1.0]).astype(np.complex128))
+        with pytest.raises(ValueError, match="must be nonnegative: min weight nan"):
+            algorithm_classical(p, AmConfig(alpha=1.5, init=sigma0))
+
+    def test_valid_initializer_start_unchanged(self):
+        p = np.array([[0.4, 0.1], [0.1, 0.4]])
+        trace = algorithm_classical(p, AmConfig(alpha=1.5, init=HermitianOperator.diagonal([0.3, 0.7])))
+        assert trace.records[0].x_n == pytest.approx(0.38213960443974093, rel=1e-12)
+        assert trace.final_x == pytest.approx(0.25928259793008457, rel=1e-12)
+        assert trace.iterations == 6
+        consts = classical_linear_constants(p, np.array([0.3, 0.7]), 1.5)
+        assert consts.c0 == pytest.approx(2.4079456086518722, rel=1e-12)
+        # A rounding-level negative weight is the zero weight it stands for.
+        edge = HermitianOperator.diagonal([-1e-17, 1.0])
+        zero = HermitianOperator.diagonal([0.0, 1.0])
+        xs = [run_uncertified_classical(p, AmConfig(alpha=1.5, init=s), 2).x_values for s in (edge, zero)]
+        assert np.array_equal(xs[0], xs[1])
+
     def test_constants_read_the_marginal_support(self):
         # lambda_A is the smallest nonzero row sum of P^alpha, 1.29e-16 at
         # alpha 6, not the smallest one above a relative cutoff.

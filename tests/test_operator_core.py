@@ -47,6 +47,11 @@ class TestHermitianOperator:
         with pytest.raises(InvalidOperator):
             HermitianOperator.from_entries(np.array([[np.nan, 0], [0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_diagonal_rejects_non_finite(self, bad):
+        with pytest.raises(InvalidOperator, match="non-finite"):
+            HermitianOperator.diagonal([bad, 1.0])
+
     def test_entries_read_only(self):
         op = HermitianOperator.identity(2)
         with pytest.raises(ValueError):
@@ -88,6 +93,20 @@ class TestHermitianOperator:
         assert np.array_equal(op.entries, ((mat + mat.T) / 2.0).astype(np.complex128))
         mat[0, 0] = 7.0  # the operator does not share the caller's array
         assert op.entries[0, 0] != 7.0
+
+
+class TestRandomDensity:
+    @pytest.mark.parametrize("dim, rank", [(3, 0), (3, -1), (0, None), (0, 2)])
+    def test_empty_shape_rejected_before_any_draw(self, dim, rank):
+        # rank 0 gave an all-NaN "density" after a numpy invalid-value warning.
+        rng = np.random.default_rng(5)
+        with pytest.raises(ValueError, match="dim >= 1 and rank >= 1"):
+            random_density(dim, rng, rank=rank)
+        assert rng.random() == np.random.default_rng(5).random()
+
+    def test_rank_above_dim_is_full_rank(self, rng):
+        w = np.linalg.eigvalsh(random_density(3, rng, rank=5).entries)
+        assert w.min() > 0.0 and abs(w.sum() - 1.0) <= 1e-12
 
 
 class TestEig:
